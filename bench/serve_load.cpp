@@ -43,7 +43,7 @@ using namespace itm;
 
 // One replayed query, derived purely from the stream index: the mix leans
 // on point lookups (the hot serving path) with a tail of rollups.
-std::string make_query(const serve::Snapshot& snap, Rng rng) {
+std::string make_query(const serve::SnapshotView& snap, Rng rng) {
   const std::uint64_t pick = rng.next_below(100);
   if (pick < 70 && !snap.prefixes.empty()) {
     // Address inside a known client prefix (95%) or anywhere (5%).
@@ -51,8 +51,7 @@ std::string make_query(const serve::Snapshot& snap, Rng rng) {
       return "lookup " + Ipv4Addr(static_cast<std::uint32_t>(rng.next_u64()))
                              .to_string();
     }
-    const auto& rec =
-        snap.prefixes[rng.next_below(snap.prefixes.size())];
+    const auto rec = snap.prefixes[rng.next_below(snap.prefixes.size())];
     const auto prefix = rec.prefix();
     const auto offset = rng.next_below(prefix.size());
     return "lookup " + prefix.address_at(offset).to_string();
@@ -99,27 +98,22 @@ int main(int argc, char** argv) {
   std::cerr << "[bench] building the traffic map...\n";
   const auto map = builder.build(build_options);
 
-  // Compile and reload through the production path: the engines below serve
+  // Compile and borrow through the production path: the engines below serve
   // from validated file bytes, not from the builder's structures.
   bench::WallTimer compile_timer;
+  const serve::Snapshot compiled = serve::compile_snapshot(map, *scenario);
   std::ostringstream blob_out;
-  serve::write_snapshot(map, *scenario, blob_out);
+  serve::write_snapshot(compiled, blob_out);
   const std::string blob = blob_out.str();
   std::string error;
-  const auto snapshot = serve::read_snapshot(std::string_view(blob), &error);
+  const auto snapshot = serve::borrow_snapshot(blob, &error);
   if (!snapshot) {
     std::cerr << "[bench] snapshot rejected: " << error << "\n";
     return 1;
   }
-  std::ostringstream blob_again;
-  serve::write_snapshot(*snapshot, blob_again);
-  if (blob_again.str() != blob) {
-    std::cerr << "[bench] snapshot round-trip is not byte-identical\n";
-    return 1;
-  }
   std::cerr << "[bench] snapshot: " << blob.size() << " bytes, "
             << snapshot->prefixes.size() << " prefixes, "
-            << snapshot->endpoints.size() << " endpoints (compile+reload "
+            << snapshot->endpoints.size() << " endpoints (compile+load "
             << core::num(compile_timer.seconds(), 3) << " s)\n";
 
   net::Executor executor(threads);
@@ -133,7 +127,7 @@ int main(int argc, char** argv) {
       "serve_load.latency_us", kLatencyBoundsUs, obs::Determinism::kWallClock);
 
   bench::WallTimer replay_timer;
-  const serve::Snapshot& snap = *snapshot;
+  const serve::SnapshotView& snap = *snapshot;
   const auto shard_results = executor.map_shards<ShardResult>(
       total_queries,
       [&snap, &base, &latency_us](const net::Executor::Shard& shard) {
@@ -282,7 +276,7 @@ int main(int argc, char** argv) {
   // The target map: the same world after a probing increment — a small,
   // realistic delta against the live snapshot.
   const auto target_snapshot = [&] {
-    serve::Snapshot next = snap;
+    serve::Snapshot next = compiled;
     next.addresses_probed += 4096;
     if (!next.ases.empty()) next.ases.front().activity *= 1.25;
     return next;

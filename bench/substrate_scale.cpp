@@ -43,10 +43,10 @@ using namespace itm;
 
 // Deterministic lookup-heavy query mix (the hot serving path), derived
 // purely from the stream index.
-std::string make_query(const serve::Snapshot& snap, Rng rng) {
+std::string make_query(const serve::SnapshotView& snap, Rng rng) {
   const std::uint64_t pick = rng.next_below(100);
   if (pick < 80 && !snap.prefixes.empty()) {
-    const auto& rec = snap.prefixes[rng.next_below(snap.prefixes.size())];
+    const auto rec = snap.prefixes[rng.next_below(snap.prefixes.size())];
     const auto prefix = rec.prefix();
     return "lookup " +
            prefix.address_at(rng.next_below(prefix.size())).to_string();
@@ -75,8 +75,12 @@ int main(int argc, char** argv) {
   const std::string out_path =
       argc > 2 ? argv[2] : ("BENCH_" + tier_name + ".json");
 
-  // ---- 1. generate the pinned world.
-  const auto config = core::tier_config(*tier);
+  // ---- 1. generate the pinned world (the same resolution `itm --scale`
+  // uses, at the tier's pinned seed).
+  core::ScenarioConfig config;
+  core::MapBuildOptions options;
+  (void)core::resolve_scale(tier_name, core::tier_seed(*tier), config,
+                            options);
   std::cerr << "[bench] generating " << tier_name << " tier (seed "
             << config.seed << ")...\n";
   bench::WallTimer gen_timer;
@@ -111,7 +115,6 @@ int main(int argc, char** argv) {
 
   // ---- 3. the full pipeline at the tier's build options.
   core::MapBuilder builder(*scenario);
-  const auto options = core::tier_build_options(*tier);
   std::cerr << "[bench] building the traffic map...\n";
   bench::WallTimer build_timer;
   const auto map = builder.build(options);
@@ -119,11 +122,12 @@ int main(int argc, char** argv) {
   bench::report_stage_timings(builder.last_timings());
 
   // ---- 4. snapshot + a deterministic serve replay.
+  const serve::Snapshot compiled = serve::compile_snapshot(map, *scenario);
   std::ostringstream blob_out;
-  serve::write_snapshot(map, *scenario, blob_out);
+  serve::write_snapshot(compiled, blob_out);
   const std::string blob = blob_out.str();
   std::string error;
-  const auto snapshot = serve::read_snapshot(std::string_view(blob), &error);
+  const auto snapshot = serve::borrow_snapshot(blob, &error);
   if (!snapshot) {
     std::cerr << "[bench] snapshot rejected: " << error << "\n";
     return 1;
@@ -158,7 +162,7 @@ int main(int argc, char** argv) {
   // probing increment against the live snapshot, applied by the strict
   // `.itmsd` applier. The rebuild must be byte-identical to the fresh
   // target — the wall time is the tier's delta_apply_us perf ledger entry.
-  serve::Snapshot delta_target = *snapshot;
+  serve::Snapshot delta_target = compiled;
   delta_target.addresses_probed += 4096;
   if (!delta_target.ases.empty()) delta_target.ases.front().activity *= 1.25;
   std::ostringstream delta_target_out;

@@ -123,4 +123,23 @@ MapBuildOptions tier_build_options(ScaleTier tier) {
   return options;
 }
 
+bool resolve_scale(std::string_view name, std::optional<std::uint64_t> seed,
+                   ScenarioConfig& config, MapBuildOptions& options) {
+  options = MapBuildOptions{};
+  if (name == "tiny") {
+    config = seed ? tiny_config(*seed) : tiny_config();
+  } else if (name == "default") {
+    config = seed ? default_config(*seed) : default_config();
+  } else if (name == "large") {
+    config = seed ? large_config(*seed) : large_config();
+  } else if (const auto tier = parse_scale_tier(name)) {
+    config = tier_config(*tier);
+    if (seed) config.seed = *seed;
+    options = tier_build_options(*tier);
+  } else {
+    return false;
+  }
+  return true;
+}
+
 }  // namespace itm::core

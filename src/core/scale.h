@@ -46,4 +46,17 @@ enum class ScaleTier : std::uint8_t { kTiny, kMedium, kHuge };
 // stage still runs. Deterministic for a fixed tier.
 [[nodiscard]] MapBuildOptions tier_build_options(ScaleTier tier);
 
+// Resolves a scale name to the scenario config and map-build options it
+// stands for; false for a name that is not tiny, default, large, medium or
+// huge. The CLI and the benches both resolve names here, so one name builds
+// one artifact everywhere. medium and huge are the pinned tiers:
+// tier_config (`seed`, when set, replaces the pinned seed) and
+// tier_build_options. tiny, default and large are the exploration worlds:
+// tiny_/default_/large_config at `seed` (the library default when unset),
+// built with default options.
+[[nodiscard]] bool resolve_scale(std::string_view name,
+                                 std::optional<std::uint64_t> seed,
+                                 ScenarioConfig& config,
+                                 MapBuildOptions& options);
+
 }  // namespace itm::core

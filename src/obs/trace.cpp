@@ -23,10 +23,10 @@ thread_local std::uint32_t tl_depth = 0;
 
 Tracer::Tracer() : epoch_(std::chrono::steady_clock::now()) {}
 
-std::uint64_t Tracer::now_ns() const {
+std::uint64_t Tracer::since_epoch_ns(
+    std::chrono::steady_clock::time_point t) const {
   return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now() - epoch_)
+      std::chrono::duration_cast<std::chrono::nanoseconds>(t - epoch_)
           .count());
 }
 
@@ -88,19 +88,11 @@ void Tracer::write_chrome_trace(std::ostream& os) const {
 
 namespace {
 
-Tracer& default_tracer() {
-  static Tracer instance;
-  return instance;
-}
-
 std::atomic<Tracer*> g_current{nullptr};
 
 }  // namespace
 
-Tracer& tracer() {
-  Tracer* current = g_current.load(std::memory_order_acquire);
-  return current != nullptr ? *current : default_tracer();
-}
+Tracer* current_tracer() { return g_current.load(std::memory_order_acquire); }
 
 ScopedTracer::ScopedTracer(Tracer& tracer)
     : previous_(g_current.exchange(&tracer, std::memory_order_acq_rel)) {}
@@ -110,9 +102,9 @@ ScopedTracer::~ScopedTracer() {
 }
 
 Span::Span(std::string_view name, std::optional<SimTime> sim_at)
-    : tracer_(&tracer()),
+    : tracer_(current_tracer()),
       name_(name),
-      start_ns_(tracer_->now_ns()),
+      start_(std::chrono::steady_clock::now()),
       depth_(tl_depth++),
       sim_at_(sim_at) {}
 
@@ -120,16 +112,21 @@ double Span::close() {
   if (!open_) return 0.0;
   open_ = false;
   --tl_depth;
-  TraceEvent event;
-  event.name = name_;
-  event.tid = this_thread_tid();
-  event.start_ns = start_ns_;
-  event.duration_ns = tracer_->now_ns() - start_ns_;
-  event.depth = depth_;
-  event.sim_at = sim_at_;
-  const double seconds = static_cast<double>(event.duration_ns) * 1e-9;
-  tracer_->record(std::move(event));
-  return seconds;
+  const auto duration_ns = static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          std::chrono::steady_clock::now() - start_)
+          .count());
+  if (tracer_ != nullptr) {
+    TraceEvent event;
+    event.name = name_;
+    event.tid = this_thread_tid();
+    event.start_ns = tracer_->since_epoch_ns(start_);
+    event.duration_ns = duration_ns;
+    event.depth = depth_;
+    event.sim_at = sim_at_;
+    tracer_->record(std::move(event));
+  }
+  return static_cast<double>(duration_ns) * 1e-9;
 }
 
 Span::~Span() { close(); }

@@ -67,7 +67,8 @@ class Tracer {
  private:
   friend class Span;
 
-  [[nodiscard]] std::uint64_t now_ns() const;
+  [[nodiscard]] std::uint64_t since_epoch_ns(
+      std::chrono::steady_clock::time_point t) const;
   void record(TraceEvent event);
 
   std::chrono::steady_clock::time_point epoch_;
@@ -75,9 +76,11 @@ class Tracer {
   std::vector<TraceEvent> events_;
 };
 
-// The current tracer (innermost live ScopedTracer, else a process-global
-// default). Same scoping rules as obs::metrics().
-[[nodiscard]] Tracer& tracer();
+// The current tracer: the innermost live ScopedTracer's, or null. There is
+// no process-global default — with no ScopedTracer live, spans still time
+// themselves but record nowhere, so a resident process that never reads a
+// trace does not accumulate one.
+[[nodiscard]] Tracer* current_tracer();
 
 class ScopedTracer {
  public:
@@ -91,7 +94,8 @@ class ScopedTracer {
 };
 
 // RAII span over the current tracer. Captures the tracer at construction, so
-// the event lands in the tracer that was current when the work started.
+// the event lands in the tracer that was current when the work started (or
+// nowhere, when none was).
 class Span {
  public:
   explicit Span(std::string_view name,
@@ -101,14 +105,15 @@ class Span {
   Span& operator=(const Span&) = delete;
 
   // Closes the span now and returns its wall duration in seconds (0 on
-  // repeat calls). The destructor closes implicitly; call close() when the
-  // duration feeds a summary (e.g. the MapBuildTimings view).
+  // repeat calls), whether or not a tracer recorded it. The destructor
+  // closes implicitly; call close() when the duration feeds a summary (e.g.
+  // the MapBuildTimings view).
   double close();
 
  private:
-  Tracer* tracer_;
+  Tracer* tracer_;  // null: no tracer was current, record nothing
   std::string name_;
-  std::uint64_t start_ns_;
+  std::chrono::steady_clock::time_point start_;
   std::uint32_t depth_;
   std::optional<SimTime> sim_at_;
   bool open_ = true;

@@ -1,7 +1,6 @@
 #include "serve/delta.h"
 
 #include <algorithm>
-#include <cstring>
 #include <sstream>
 #include <utility>
 #include <vector>
@@ -11,6 +10,7 @@
 #include "serve/snapshot.h"
 #include "serve/snapshot_reader.h"
 #include "serve/snapshot_writer.h"
+#include "serve/view.h"
 
 namespace itm::serve {
 
@@ -20,215 +20,68 @@ constexpr std::uint8_t kOpAdd = 1;
 constexpr std::uint8_t kOpRemove = 2;
 constexpr std::uint8_t kOpReplace = 3;
 
-// Doubles compare by bit pattern: the delta's contract is *byte* identity
-// of the applied result, and operator== would conflate 0.0 with -0.0.
-std::uint64_t f64_bits(double v) {
-  std::uint64_t bits = 0;
-  std::memcpy(&bits, &v, sizeof bits);
-  return bits;
+// Keyed ops carry records in their `.itms` wire encoding, and a record's
+// key is always the leading bytes of that encoding: the country id, ASN,
+// address or service id (4 bytes), or a prefix's (base, length) (8 bytes).
+// Diff, parse and apply therefore all work on record bytes; a remove op
+// carries just the key bytes.
+struct KeyedSection {
+  const char* what;
+  std::size_t key_bytes;
+  // Fixed record size; 0 for a mapping (service u32, entry count u32,
+  // entries).
+  std::size_t record_bytes;
+};
+
+constexpr KeyedSection kCountryOps{"country", 4,
+                                   WireCodec<CountryRecord>::kBytes};
+constexpr KeyedSection kAsOps{"AS", 4, WireCodec<AsRecord>::kBytes};
+constexpr KeyedSection kPrefixOps{"prefix", 8, WireCodec<PrefixRecord>::kBytes};
+constexpr KeyedSection kEndpointOps{"endpoint", 4,
+                                    WireCodec<EndpointRecord>::kBytes};
+constexpr KeyedSection kMappingOps{"mapping", 4, 0};
+
+// The key as one integer; (base << 32 | length) orders exactly like the
+// (base, length) pair.
+std::uint64_t key_of(std::string_view record, std::size_t key_bytes) {
+  const std::uint64_t first = wire_u32(record.data());
+  return key_bytes == 4 ? first : first << 32 | wire_u32(record.data() + 4);
 }
 
-// ---- Per-record traits: key, equality, encode, decode ----
-//
-// The payload encodings mirror snapshot_writer.cpp exactly; a record added
-// or replaced by a delta serializes into the rebuilt snapshot through the
-// same writer, so these only need to round-trip, not to define the layout.
-
-struct CountryTraits {
-  using Key = std::uint32_t;
-  static Key key(const CountryRecord& r) { return r.country; }
-  static bool equal(const CountryRecord& a, const CountryRecord& b) {
-    return a.country == b.country && a.name_ref == b.name_ref;
-  }
-  static void encode(ByteWriter& w, const CountryRecord& r) {
-    w.u32(r.country);
-    w.u32(r.name_ref);
-  }
-  static CountryRecord decode(ByteReader& r) {
-    CountryRecord rec;
-    rec.country = r.u32();
-    rec.name_ref = r.u32();
-    return rec;
-  }
-  static void encode_key(ByteWriter& w, Key k) { w.u32(k); }
-  static Key decode_key(ByteReader& r) { return r.u32(); }
-};
-
-struct AsTraits {
-  using Key = std::uint32_t;
-  static Key key(const AsRecord& r) { return r.asn; }
-  static bool equal(const AsRecord& a, const AsRecord& b) {
-    return a.asn == b.asn && a.name_ref == b.name_ref &&
-           a.country == b.country && a.type == b.type && a.flags == b.flags &&
-           f64_bits(a.activity) == f64_bits(b.activity);
-  }
-  static void encode(ByteWriter& w, const AsRecord& r) {
-    w.u32(r.asn);
-    w.u32(r.name_ref);
-    w.u32(r.country);
-    w.u32(r.type);
-    w.u32(r.flags);
-    w.f64(r.activity);
-  }
-  static AsRecord decode(ByteReader& r) {
-    AsRecord rec;
-    rec.asn = r.u32();
-    rec.name_ref = r.u32();
-    rec.country = r.u32();
-    rec.type = r.u32();
-    rec.flags = r.u32();
-    rec.activity = r.f64();
-    return rec;
-  }
-  static void encode_key(ByteWriter& w, Key k) { w.u32(k); }
-  static Key decode_key(ByteReader& r) { return r.u32(); }
-};
-
-struct PrefixTraits {
-  using Key = std::pair<std::uint32_t, std::uint32_t>;
-  static Key key(const PrefixRecord& r) { return {r.base, r.length}; }
-  static bool equal(const PrefixRecord& a, const PrefixRecord& b) {
-    return a.base == b.base && a.length == b.length &&
-           a.origin_asn == b.origin_asn;
-  }
-  static void encode(ByteWriter& w, const PrefixRecord& r) {
-    w.u32(r.base);
-    w.u32(r.length);
-    w.u32(r.origin_asn);
-  }
-  static PrefixRecord decode(ByteReader& r) {
-    PrefixRecord rec;
-    rec.base = r.u32();
-    rec.length = r.u32();
-    rec.origin_asn = r.u32();
-    return rec;
-  }
-  static void encode_key(ByteWriter& w, Key k) {
-    w.u32(k.first);
-    w.u32(k.second);
-  }
-  static Key decode_key(ByteReader& r) {
-    const std::uint32_t base = r.u32();
-    return {base, r.u32()};
-  }
-};
-
-struct EndpointTraits {
-  using Key = std::uint32_t;
-  static Key key(const EndpointRecord& r) { return r.address; }
-  static bool equal(const EndpointRecord& a, const EndpointRecord& b) {
-    return a.address == b.address && a.origin_asn == b.origin_asn &&
-           a.operator_ref == b.operator_ref && a.flags == b.flags &&
-           f64_bits(a.lat_deg) == f64_bits(b.lat_deg) &&
-           f64_bits(a.lon_deg) == f64_bits(b.lon_deg);
-  }
-  static void encode(ByteWriter& w, const EndpointRecord& r) {
-    w.u32(r.address);
-    w.u32(r.origin_asn);
-    w.u32(r.operator_ref);
-    w.u32(r.flags);
-    w.f64(r.lat_deg);
-    w.f64(r.lon_deg);
-  }
-  static EndpointRecord decode(ByteReader& r) {
-    EndpointRecord rec;
-    rec.address = r.u32();
-    rec.origin_asn = r.u32();
-    rec.operator_ref = r.u32();
-    rec.flags = r.u32();
-    rec.lat_deg = r.f64();
-    rec.lon_deg = r.f64();
-    return rec;
-  }
-  static void encode_key(ByteWriter& w, Key k) { w.u32(k); }
-  static Key decode_key(ByteReader& r) { return r.u32(); }
-};
-
-struct MappingTraits {
-  using Key = std::uint32_t;
-  static Key key(const ServiceMapping& r) { return r.service; }
-  static bool equal(const ServiceMapping& a, const ServiceMapping& b) {
-    if (a.service != b.service || a.entries.size() != b.entries.size()) {
-      return false;
-    }
-    for (std::size_t i = 0; i < a.entries.size(); ++i) {
-      const MappingEntry& x = a.entries[i];
-      const MappingEntry& y = b.entries[i];
-      if (x.prefix_base != y.prefix_base ||
-          x.prefix_length != y.prefix_length || x.address != y.address) {
-        return false;
-      }
-    }
-    return true;
-  }
-  static void encode(ByteWriter& w, const ServiceMapping& r) {
-    w.u32(r.service);
-    w.u32(static_cast<std::uint32_t>(r.entries.size()));
-    for (const MappingEntry& e : r.entries) {
-      w.u32(e.prefix_base);
-      w.u32(e.prefix_length);
-      w.u32(e.address);
-    }
-  }
-  static ServiceMapping decode(ByteReader& r) {
-    ServiceMapping rec;
-    rec.service = r.u32();
-    const std::uint32_t count = r.u32();
-    // Bound reserve by what the payload can actually hold: 12 bytes/entry.
-    rec.entries.reserve(std::min<std::size_t>(count, r.remaining() / 12));
-    for (std::uint32_t i = 0; i < count && !r.failed(); ++i) {
-      MappingEntry e;
-      e.prefix_base = r.u32();
-      e.prefix_length = r.u32();
-      e.address = r.u32();
-      rec.entries.push_back(e);
-    }
-    return rec;
-  }
-  static void encode_key(ByteWriter& w, Key k) { w.u32(k); }
-  static Key decode_key(ByteReader& r) { return r.u32(); }
-};
-
-bool links_equal(const std::vector<LinkRecord>& a,
-                 const std::vector<LinkRecord>& b) {
-  if (a.size() != b.size()) return false;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    if (a[i].a != b[i].a || a[i].b != b[i].b ||
-        f64_bits(a[i].score) != f64_bits(b[i].score)) {
-      return false;
-    }
-  }
-  return true;
+bool fail(std::string& error, std::string message) {
+  error = std::move(message);
+  return false;
 }
 
 // ---- Diff side: two-pointer merge of key-sorted sections into op lists ----
 
-template <typename Traits, typename Rec>
-void diff_section(ByteWriter& w, const std::vector<Rec>& base,
-                  const std::vector<Rec>& target) {
+// `Span` is a section view with size() and bytes(i): a RecordSpan or the
+// MappingsView. Equal keys compare by bytes — the delta's contract is byte
+// identity, and a field compare would conflate 0.0 with -0.0.
+template <typename Span>
+void diff_section(ByteWriter& w, const Span& base, const Span& target,
+                  const KeyedSection& section) {
   ByteWriter ops;
   std::uint32_t count = 0;
+  const auto emit = [&ops, &count](std::uint8_t op, std::string_view bytes) {
+    ops.u8(op);
+    ops.bytes(bytes);
+    ++count;
+  };
+  const auto key = [&section](std::string_view record) {
+    return key_of(record, section.key_bytes);
+  };
   std::size_t i = 0;
   std::size_t j = 0;
   while (i < base.size() || j < target.size()) {
     if (j == target.size() ||
-        (i < base.size() && Traits::key(base[i]) < Traits::key(target[j]))) {
-      ops.u8(kOpRemove);
-      Traits::encode_key(ops, Traits::key(base[i]));
-      ++count;
-      ++i;
+        (i < base.size() && key(base.bytes(i)) < key(target.bytes(j)))) {
+      emit(kOpRemove, base.bytes(i++).substr(0, section.key_bytes));
     } else if (i == base.size() ||
-               Traits::key(target[j]) < Traits::key(base[i])) {
-      ops.u8(kOpAdd);
-      Traits::encode(ops, target[j]);
-      ++count;
-      ++j;
+               key(target.bytes(j)) < key(base.bytes(i))) {
+      emit(kOpAdd, target.bytes(j++));
     } else {
-      if (!Traits::equal(base[i], target[j])) {
-        ops.u8(kOpReplace);
-        Traits::encode(ops, target[j]);
-        ++count;
-      }
+      if (base.bytes(i) != target.bytes(j)) emit(kOpReplace, target.bytes(j));
       ++i;
       ++j;
     }
@@ -237,182 +90,220 @@ void diff_section(ByteWriter& w, const std::vector<Rec>& base,
   w.bytes(ops.buffer());
 }
 
-// ---- Apply side: strict merge of base + ops into the target section ----
-
-struct ApplyState {
-  std::string error;
-  bool failed = false;
-  std::uint64_t ops = 0;
-
-  bool fail(const std::string& message) {
-    if (!failed) {
-      failed = true;
-      error = message;
-    }
-    return false;
+bool same_strings(const StringsView& a, const StringsView& b) {
+  if (a.size() != b.size()) return false;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    if (a[i] != b[i]) return false;
   }
+  return true;
+}
+
+bool same_links(const RecordSpan<LinkRecord>& a,
+                const RecordSpan<LinkRecord>& b) {
+  if (a.size() != b.size()) return false;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    if (a.bytes(i) != b.bytes(i)) return false;
+  }
+  return true;
+}
+
+// ---- The one op parser, shared by apply_delta and read_delta_info ----
+
+struct Op {
+  std::uint8_t code = 0;
+  std::uint64_t key = 0;
+  std::string_view record;  // wire bytes of an added/replacing record
 };
 
-template <typename Traits, typename Rec>
-bool apply_section(ApplyState& st, ByteReader& r, const char* what,
-                   std::vector<Rec>& records) {
-  const std::uint32_t count = r.u32();
-  if (r.failed()) return st.fail(std::string(what) + " ops truncated");
-  std::vector<Rec> out;
-  out.reserve(records.size());
-  std::size_t i = 0;
-  bool have_prev_key = false;
-  typename Traits::Key prev_key{};
-  for (std::uint32_t n = 0; n < count; ++n) {
-    const std::uint8_t op = r.u8();
-    typename Traits::Key key{};
-    Rec rec{};
-    if (op == kOpRemove) {
-      key = Traits::decode_key(r);
-    } else if (op == kOpAdd || op == kOpReplace) {
-      rec = Traits::decode(r);
-      key = Traits::key(rec);
-    } else {
-      return st.fail(std::string(what) + " ops contain an unknown op code");
-    }
-    if (r.failed()) return st.fail(std::string(what) + " ops truncated");
-    if (have_prev_key && !(prev_key < key)) {
-      return st.fail(std::string(what) + " ops not sorted by key");
-    }
-    prev_key = key;
-    have_prev_key = true;
+// A delta's validated tail. Every view points into the delta bytes.
+struct ParsedDelta {
+  DeltaInfo info;
+  std::uint64_t addresses_probed = 0;
+  std::uint64_t observed_links = 0;
+  StringsView strings;  // the replacement table, when replaces_strings
+  std::vector<Op> countries, ases, prefixes, endpoints, mappings;
+  RecordSpan<LinkRecord> links;  // the replacement links, when replaces_links
+};
 
-    // Copy base records below the op key through untouched.
-    while (i < records.size() && Traits::key(records[i]) < key) {
-      out.push_back(std::move(records[i]));
-      ++i;
+std::string_view read_record(ByteReader& r, std::size_t record_bytes) {
+  if (record_bytes != 0) return r.bytes(record_bytes);
+  const std::string_view head = r.bytes(8);
+  if (r.failed()) return {};
+  const std::string_view entries = r.bytes(
+      std::size_t{wire_u32(head.data() + 4)} * WireCodec<MappingEntry>::kBytes);
+  if (r.failed()) return {};
+  return {head.data(), head.size() + entries.size()};
+}
+
+bool parse_ops(ByteReader& r, const KeyedSection& section,
+               std::vector<Op>& ops, std::string& error) {
+  const std::string what(section.what);
+  const std::uint32_t count = r.u32();
+  // Every op is at least an op code and a 4-byte key.
+  ops.reserve(std::min<std::size_t>(count, r.remaining() / 5));
+  for (std::uint32_t n = 0; n < count && !r.failed(); ++n) {
+    Op op;
+    op.code = r.u8();
+    std::string_view key_bytes;
+    if (op.code == kOpRemove) {
+      key_bytes = r.bytes(section.key_bytes);
+    } else if (op.code == kOpAdd || op.code == kOpReplace) {
+      op.record = read_record(r, section.record_bytes);
+      key_bytes = op.record;
+    } else if (!r.failed()) {
+      return fail(error, what + " ops contain an unknown op code");
     }
-    const bool present = i < records.size() && Traits::key(records[i]) == key;
-    if (op == kOpAdd) {
-      if (present) {
-        return st.fail(std::string(what) + " add op targets an existing key");
-      }
-      out.push_back(std::move(rec));
-    } else if (op == kOpRemove) {
-      if (!present) {
-        return st.fail(std::string(what) + " remove op targets a missing key");
-      }
-      ++i;
-    } else {
-      if (!present) {
-        return st.fail(std::string(what) +
-                       " replace op targets a missing key");
-      }
-      out.push_back(std::move(rec));
-      ++i;
+    if (r.failed()) break;
+    op.key = key_of(key_bytes, section.key_bytes);
+    if (!ops.empty() && ops.back().key >= op.key) {
+      return fail(error, what + " ops not sorted by key");
     }
-    ++st.ops;
+    ops.push_back(op);
   }
-  while (i < records.size()) {
-    out.push_back(std::move(records[i]));
-    ++i;
-  }
-  records = std::move(out);
+  if (r.failed()) return fail(error, what + " ops truncated");
   return true;
 }
 
-// Skips (diff) or reads (apply/info) an op list without interpreting it —
-// used by read_delta_info to structurally validate all sections.
-template <typename Traits>
-bool scan_section(ApplyState& st, ByteReader& r, const char* what) {
-  const std::uint32_t count = r.u32();
-  if (r.failed()) return st.fail(std::string(what) + " ops truncated");
-  for (std::uint32_t n = 0; n < count; ++n) {
-    const std::uint8_t op = r.u8();
-    if (op == kOpRemove) {
-      (void)Traits::decode_key(r);
-    } else if (op == kOpAdd || op == kOpReplace) {
-      (void)Traits::decode(r);
-    } else {
-      return st.fail(std::string(what) + " ops contain an unknown op code");
-    }
-    if (r.failed()) return st.fail(std::string(what) + " ops truncated");
-    ++st.ops;
-  }
+bool parse_flag(ByteReader& r, const char* what, bool& out,
+                std::string& error) {
+  const std::uint8_t flag = r.u8();
+  if (r.failed()) return fail(error, "delta tail truncated");
+  if (flag > 1) return fail(error, std::string("bad ") + what + " flag");
+  out = flag == 1;
   return true;
 }
 
-void write_string_table(ByteWriter& w, const std::vector<std::string>& table) {
-  w.u32(static_cast<std::uint32_t>(table.size()));
-  for (const std::string& s : table) {
-    w.u32(static_cast<std::uint32_t>(s.size()));
-    w.bytes(s);
-  }
-}
-
-bool read_string_table(ApplyState& st, ByteReader& r,
-                       std::vector<std::string>& table) {
+// A string table in its `.itms` section encoding: count, {len u32, bytes}.
+bool parse_strings(ByteReader& r, std::string_view tail, StringsView& out) {
   const std::uint32_t count = r.u32();
-  if (r.failed()) return st.fail("string replacement truncated");
-  table.clear();
-  table.reserve(std::min<std::size_t>(count, r.remaining() / 4));
-  for (std::uint32_t i = 0; i < count; ++i) {
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> offsets;
+  offsets.reserve(std::min<std::size_t>(count, r.remaining() / 4));
+  for (std::uint32_t i = 0; i < count && !r.failed(); ++i) {
     const std::uint32_t len = r.u32();
-    const std::string_view bytes = r.bytes(len);
-    if (r.failed()) return st.fail("string replacement truncated");
-    table.emplace_back(bytes);
+    const std::size_t offset = r.position();
+    (void)r.bytes(len);
+    offsets.emplace_back(static_cast<std::uint32_t>(offset), len);
   }
-  return true;
-}
-
-void write_link_table(ByteWriter& w, const std::vector<LinkRecord>& links) {
-  w.u32(static_cast<std::uint32_t>(links.size()));
-  for (const LinkRecord& link : links) {
-    w.u32(link.a);
-    w.u32(link.b);
-    w.f64(link.score);
-  }
-}
-
-bool read_link_table(ApplyState& st, ByteReader& r,
-                     std::vector<LinkRecord>& links) {
-  const std::uint32_t count = r.u32();
-  if (r.failed()) return st.fail("link replacement truncated");
-  links.clear();
-  links.reserve(std::min<std::size_t>(count, r.remaining() / 16));
-  for (std::uint32_t i = 0; i < count; ++i) {
-    LinkRecord link;
-    link.a = r.u32();
-    link.b = r.u32();
-    link.score = r.f64();
-    if (r.failed()) return st.fail("link replacement truncated");
-    links.push_back(link);
-  }
-  return true;
+  out = StringsView::wire(tail.data(), std::move(offsets));
+  return !r.failed();
 }
 
 constexpr std::size_t kDeltaHeaderSize = 8 + 4 + 4 + 8;
 
-// Validates the delta container (magic/version/endian/checksum) and
-// returns the tail on success.
-std::optional<std::string_view> delta_tail(std::string_view bytes,
-                                           std::string* error) {
-  const auto fail = [&](const char* message) -> std::optional<std::string_view> {
-    if (error != nullptr) *error = message;
-    obs::count("serve.delta.rejected");
-    return std::nullopt;
-  };
+bool parse_into(std::string_view bytes, ParsedDelta& d, std::string& error) {
   if (bytes.size() < kDeltaHeaderSize) {
-    return fail("file shorter than delta header");
+    return fail(error, "file shorter than delta header");
   }
   ByteReader header(bytes.substr(0, kDeltaHeaderSize));
   const auto magic = header.bytes(kDeltaMagic.size());
   if (magic != std::string_view(kDeltaMagic.data(), kDeltaMagic.size())) {
-    return fail("bad magic (not an .itmsd delta)");
+    return fail(error, "bad magic (not an .itmsd delta)");
   }
-  if (header.u32() != kDeltaVersion) return fail("unsupported delta version");
-  if (header.u32() != kEndianMarker) return fail("endianness marker mismatch");
+  if (header.u32() != kDeltaVersion) {
+    return fail(error, "unsupported delta version");
+  }
+  if (header.u32() != kEndianMarker) {
+    return fail(error, "endianness marker mismatch");
+  }
   const std::uint64_t checksum = header.u64();
   const std::string_view tail = bytes.substr(kDeltaHeaderSize);
   if (fnv1a64(tail) != checksum) {
-    return fail("checksum mismatch (corrupted delta)");
+    return fail(error, "checksum mismatch (corrupted delta)");
   }
-  return tail;
+
+  ByteReader r(tail);
+  d.info.base_checksum = r.u64();
+  d.info.target_checksum = r.u64();
+  d.info.target_seed = r.u64();
+  d.addresses_probed = r.u64();
+  d.observed_links = r.u64();
+  if (!parse_flag(r, "string replacement", d.info.replaces_strings, error)) {
+    return false;
+  }
+  if (d.info.replaces_strings && !parse_strings(r, tail, d.strings)) {
+    return fail(error, "string replacement truncated");
+  }
+  if (!parse_ops(r, kCountryOps, d.countries, error) ||
+      !parse_ops(r, kAsOps, d.ases, error) ||
+      !parse_ops(r, kPrefixOps, d.prefixes, error) ||
+      !parse_ops(r, kEndpointOps, d.endpoints, error) ||
+      !parse_ops(r, kMappingOps, d.mappings, error) ||
+      !parse_flag(r, "link replacement", d.info.replaces_links, error)) {
+    return false;
+  }
+  if (d.info.replaces_links) {
+    const std::uint32_t count = r.u32();
+    const std::string_view links =
+        r.bytes(std::size_t{count} * WireCodec<LinkRecord>::kBytes);
+    if (r.failed()) return fail(error, "link replacement truncated");
+    d.links = RecordSpan<LinkRecord>::wire(links.data(), count);
+  }
+  if (!r.exhausted()) return fail(error, "trailing bytes after delta ops");
+  d.info.ops = d.countries.size() + d.ases.size() + d.prefixes.size() +
+               d.endpoints.size() + d.mappings.size();
+  return true;
+}
+
+std::optional<ParsedDelta> parse_delta(std::string_view bytes,
+                                       std::string* error) {
+  ParsedDelta delta;
+  std::string message;
+  if (parse_into(bytes, delta, message)) return delta;
+  if (error != nullptr) *error = message;
+  obs::count("serve.delta.rejected");
+  return std::nullopt;
+}
+
+// ---- Apply side: one strict merge of base bytes + ops into the target ----
+
+template <typename Rec>
+Rec decode_record(std::string_view bytes) {
+  return WireCodec<Rec>::decode(bytes.data());
+}
+
+ServiceMapping decode_mapping(std::string_view bytes) {
+  ServiceMapping mapping;
+  mapping.service = wire_u32(bytes.data());
+  const auto entries = RecordSpan<MappingEntry>::wire(
+      bytes.data() + 8, (bytes.size() - 8) / WireCodec<MappingEntry>::kBytes);
+  mapping.entries.reserve(entries.size());
+  for (std::size_t i = 0; i < entries.size(); ++i) {
+    mapping.entries.push_back(entries[i]);
+  }
+  return mapping;
+}
+
+// Decodes the borrowed base section into the target's record vector,
+// adding, dropping or replacing the record at each op key on the way —
+// every base record is copied once, straight from its wire bytes.
+template <typename Span, typename Rec>
+bool merge_section(const Span& base, const std::vector<Op>& ops,
+                   const KeyedSection& section,
+                   Rec (*decode)(std::string_view), std::vector<Rec>& out,
+                   std::string& error) {
+  out.reserve(base.size() + ops.size());
+  std::size_t i = 0;
+  for (const Op& op : ops) {
+    while (i < base.size() &&
+           key_of(base.bytes(i), section.key_bytes) < op.key) {
+      out.push_back(decode(base.bytes(i++)));
+    }
+    const bool present =
+        i < base.size() && key_of(base.bytes(i), section.key_bytes) == op.key;
+    if (op.code == kOpAdd && present) {
+      return fail(error, std::string(section.what) +
+                             " add op targets an existing key");
+    }
+    if (op.code != kOpAdd && !present) {
+      return fail(error, std::string(section.what) +
+                             (op.code == kOpRemove ? " remove" : " replace") +
+                             " op targets a missing key");
+    }
+    if (op.code != kOpAdd) ++i;
+    if (op.code != kOpRemove) out.push_back(decode(op.record));
+  }
+  while (i < base.size()) out.push_back(decode(base.bytes(i++)));
+  return true;
 }
 
 std::string serialize(const Snapshot& snap) {
@@ -427,12 +318,12 @@ std::optional<std::string> diff_snapshots(std::string_view base_bytes,
                                           std::string_view target_bytes,
                                           std::string* error) {
   std::string parse_error;
-  const auto base = read_snapshot(base_bytes, &parse_error);
+  const auto base = borrow_snapshot(base_bytes, &parse_error);
   if (!base) {
     if (error != nullptr) *error = "base snapshot: " + parse_error;
     return std::nullopt;
   }
-  const auto target = read_snapshot(target_bytes, &parse_error);
+  const auto target = borrow_snapshot(target_bytes, &parse_error);
   if (!target) {
     if (error != nullptr) *error = "target snapshot: " + parse_error;
     return std::nullopt;
@@ -445,22 +336,29 @@ std::optional<std::string> diff_snapshots(std::string_view base_bytes,
   tail.u64(target->addresses_probed);
   tail.u64(target->observed_links);
 
-  if (base->strings == target->strings) {
+  if (same_strings(base->strings, target->strings)) {
     tail.u8(0);
   } else {
     tail.u8(1);
-    write_string_table(tail, target->strings);
+    tail.u32(static_cast<std::uint32_t>(target->strings.size()));
+    for (std::size_t i = 0; i < target->strings.size(); ++i) {
+      tail.u32(static_cast<std::uint32_t>(target->strings[i].size()));
+      tail.bytes(target->strings[i]);
+    }
   }
-  diff_section<CountryTraits>(tail, base->countries, target->countries);
-  diff_section<AsTraits>(tail, base->ases, target->ases);
-  diff_section<PrefixTraits>(tail, base->prefixes, target->prefixes);
-  diff_section<EndpointTraits>(tail, base->endpoints, target->endpoints);
-  diff_section<MappingTraits>(tail, base->mappings, target->mappings);
-  if (links_equal(base->links, target->links)) {
+  diff_section(tail, base->countries, target->countries, kCountryOps);
+  diff_section(tail, base->ases, target->ases, kAsOps);
+  diff_section(tail, base->prefixes, target->prefixes, kPrefixOps);
+  diff_section(tail, base->endpoints, target->endpoints, kEndpointOps);
+  diff_section(tail, base->mappings, target->mappings, kMappingOps);
+  if (same_links(base->links, target->links)) {
     tail.u8(0);
   } else {
     tail.u8(1);
-    write_link_table(tail, target->links);
+    tail.u32(static_cast<std::uint32_t>(target->links.size()));
+    for (std::size_t i = 0; i < target->links.size(); ++i) {
+      tail.bytes(target->links.bytes(i));
+    }
   }
 
   ByteWriter out;
@@ -477,113 +375,72 @@ std::optional<std::string> diff_snapshots(std::string_view base_bytes,
 std::optional<std::string> apply_delta(std::string_view base_bytes,
                                        std::string_view delta_bytes,
                                        std::string* error) {
-  const auto tail = delta_tail(delta_bytes, error);
-  if (!tail) return std::nullopt;
+  const auto delta = parse_delta(delta_bytes, error);
+  if (!delta) return std::nullopt;
 
-  std::string parse_error;
-  auto snap = read_snapshot(base_bytes, &parse_error);
-  if (!snap) {
-    if (error != nullptr) *error = "base snapshot: " + parse_error;
+  std::string message;
+  const auto base = borrow_snapshot(base_bytes, &message);
+  if (!base) {
+    if (error != nullptr) *error = "base snapshot: " + message;
     return std::nullopt;
   }
-
-  ApplyState st;
-  const auto fail = [&](const std::string& message)
+  const auto reject = [&error](std::string reason)
       -> std::optional<std::string> {
-    if (error != nullptr) *error = message;
+    if (error != nullptr) *error = std::move(reason);
     obs::count("serve.delta.rejected");
     return std::nullopt;
   };
+  if (delta->info.base_checksum != snapshot_checksum(base_bytes)) {
+    return reject("delta targets a different base snapshot");
+  }
 
-  ByteReader r(*tail);
-  const std::uint64_t base_checksum = r.u64();
-  const std::uint64_t target_checksum = r.u64();
-  if (r.failed()) return fail("delta tail truncated");
-  if (base_checksum != snapshot_checksum(base_bytes)) {
-    return fail("delta targets a different base snapshot");
+  Snapshot snap;
+  snap.seed = delta->info.target_seed;
+  snap.addresses_probed = delta->addresses_probed;
+  snap.observed_links = delta->observed_links;
+  const StringsView& strings =
+      delta->info.replaces_strings ? delta->strings : base->strings;
+  snap.strings.reserve(strings.size());
+  for (std::size_t i = 0; i < strings.size(); ++i) {
+    snap.strings.emplace_back(strings[i]);
   }
-  snap->seed = r.u64();
-  snap->addresses_probed = r.u64();
-  snap->observed_links = r.u64();
-
-  const std::uint8_t strings_flag = r.u8();
-  if (r.failed()) return fail("delta tail truncated");
-  if (strings_flag > 1) return fail("bad string replacement flag");
-  if (strings_flag == 1 && !read_string_table(st, r, snap->strings)) {
-    return fail(st.error);
+  if (!merge_section(base->countries, delta->countries, kCountryOps,
+                     decode_record<CountryRecord>, snap.countries, message) ||
+      !merge_section(base->ases, delta->ases, kAsOps, decode_record<AsRecord>,
+                     snap.ases, message) ||
+      !merge_section(base->prefixes, delta->prefixes, kPrefixOps,
+                     decode_record<PrefixRecord>, snap.prefixes, message) ||
+      !merge_section(base->endpoints, delta->endpoints, kEndpointOps,
+                     decode_record<EndpointRecord>, snap.endpoints,
+                     message) ||
+      !merge_section(base->mappings, delta->mappings, kMappingOps,
+                     decode_mapping, snap.mappings, message)) {
+    return reject(message);
   }
-  if (!apply_section<CountryTraits>(st, r, "country", snap->countries) ||
-      !apply_section<AsTraits>(st, r, "AS", snap->ases) ||
-      !apply_section<PrefixTraits>(st, r, "prefix", snap->prefixes) ||
-      !apply_section<EndpointTraits>(st, r, "endpoint", snap->endpoints) ||
-      !apply_section<MappingTraits>(st, r, "mapping", snap->mappings)) {
-    return fail(st.error);
+  const RecordSpan<LinkRecord>& links =
+      delta->info.replaces_links ? delta->links : base->links;
+  snap.links.reserve(links.size());
+  for (std::size_t i = 0; i < links.size(); ++i) {
+    snap.links.push_back(links[i]);
   }
-  const std::uint8_t links_flag = r.u8();
-  if (r.failed()) return fail("delta tail truncated");
-  if (links_flag > 1) return fail("bad link replacement flag");
-  if (links_flag == 1 && !read_link_table(st, r, snap->links)) {
-    return fail(st.error);
-  }
-  if (!r.exhausted()) return fail("trailing bytes after delta ops");
 
   // The proof obligation: the rebuilt snapshot must BE the target, byte for
   // byte. Serialization is canonical, so checksum equality is bytes
   // equality; anything the op checks missed dies here.
-  std::string rebuilt = serialize(*snap);
-  if (snapshot_checksum(rebuilt) != target_checksum) {
-    return fail("applied result does not match the delta's target checksum");
+  std::string rebuilt = serialize(snap);
+  if (snapshot_checksum(rebuilt) != delta->info.target_checksum) {
+    return reject("applied result does not match the delta's target checksum");
   }
   obs::count("serve.delta.applies");
-  obs::count("serve.delta.ops_applied", st.ops);
+  obs::count("serve.delta.ops_applied", delta->info.ops);
   return rebuilt;
 }
 
 std::optional<DeltaInfo> read_delta_info(std::string_view delta_bytes,
                                          std::string* error) {
-  const auto tail = delta_tail(delta_bytes, error);
-  if (!tail) return std::nullopt;
-
-  ApplyState st;
-  const auto fail = [&](const std::string& message) -> std::optional<DeltaInfo> {
-    if (error != nullptr) *error = message;
-    obs::count("serve.delta.rejected");
-    return std::nullopt;
-  };
-
-  ByteReader r(*tail);
-  DeltaInfo info;
-  info.base_checksum = r.u64();
-  info.target_checksum = r.u64();
-  info.target_seed = r.u64();
-  (void)r.u64();  // addresses_probed
-  (void)r.u64();  // observed_links
-  const std::uint8_t strings_flag = r.u8();
-  if (r.failed()) return fail("delta tail truncated");
-  if (strings_flag > 1) return fail("bad string replacement flag");
-  info.replaces_strings = strings_flag == 1;
-  if (strings_flag == 1) {
-    std::vector<std::string> scratch;
-    if (!read_string_table(st, r, scratch)) return fail(st.error);
-  }
-  if (!scan_section<CountryTraits>(st, r, "country") ||
-      !scan_section<AsTraits>(st, r, "AS") ||
-      !scan_section<PrefixTraits>(st, r, "prefix") ||
-      !scan_section<EndpointTraits>(st, r, "endpoint") ||
-      !scan_section<MappingTraits>(st, r, "mapping")) {
-    return fail(st.error);
-  }
-  const std::uint8_t links_flag = r.u8();
-  if (r.failed()) return fail("delta tail truncated");
-  if (links_flag > 1) return fail("bad link replacement flag");
-  info.replaces_links = links_flag == 1;
-  if (links_flag == 1) {
-    std::vector<LinkRecord> scratch;
-    if (!read_link_table(st, r, scratch)) return fail(st.error);
-  }
-  if (!r.exhausted()) return fail("trailing bytes after delta ops");
-  info.ops = st.ops;
-  return info;
+  const auto delta = parse_delta(delta_bytes, error);
+  if (!delta) return std::nullopt;
+  return delta->info;
 }
 
 }  // namespace itm::serve

@@ -32,12 +32,21 @@
 //     links            u8 flag; if 1: count u32 + records (full
 //                      replacement — recommender order is meaningful)
 //
-// Keyed ops are `count u32` then records of {op u8, key, payload}: op 1 =
-// add (key must be absent in base), 2 = remove (must be present), 3 =
-// replace (must be present); keys strictly ascending. The applier rejects
-// any deviation, then rejects any result whose serialization checksum is
-// not exactly `target_checksum` — corruption the op checks miss cannot
-// survive the final comparison.
+// Keyed ops are `count u32` then {op u8, payload}: op 1 = add (key must be
+// absent in base), 2 = remove (must be present), 3 = replace (must be
+// present); keys strictly ascending. An add/replace payload is the record
+// in its `.itms` wire encoding, whose leading bytes are its key; a remove
+// payload is just those key bytes. The string and link replacement tables
+// are likewise the `.itms` section encodings.
+//
+// Both ends work on borrowed wire views (view.h): the differ walks the two
+// snapshots' spans with a two-pointer merge, and the applier merges the
+// base's spans with the ops once, straight into the target's record
+// vectors, then serializes them — the base is never decoded into a
+// Snapshot of its own first. The applier rejects any op deviation, then
+// any result whose serialization checksum is not exactly `target_checksum`
+// — corruption the op checks miss cannot survive the final comparison.
+// apply_delta and read_delta_info share one op parser.
 #pragma once
 
 #include <array>

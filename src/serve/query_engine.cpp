@@ -85,9 +85,6 @@ QueryEngine::QueryEngine(SnapshotView view, std::size_t cache_capacity)
   }
 }
 
-QueryEngine::QueryEngine(const Snapshot& snapshot, std::size_t cache_capacity)
-    : QueryEngine(SnapshotView::of(snapshot), cache_capacity) {}
-
 std::size_t QueryEngine::find_as(std::uint32_t asn) const {
   const std::size_t i = span_lower_bound(
       view_.ases, [asn](const AsRecord& rec) { return rec.asn < asn; });

@@ -7,10 +7,9 @@
 // engine answer equals the corresponding in-memory TrafficMap answer
 // (asserted by tests/serve/query_engine_test.cpp).
 //
-// The engine is built over a SnapshotView, so the same query code serves
-// decoded vectors (an owned Snapshot) and raw mapped bytes (MmapSnapshot /
-// a delta-applied blob) identically — answers cannot depend on where the
-// records live.
+// The engine is built over a SnapshotView of validated wire bytes — an
+// MmapSnapshot, an epoch's delta-applied blob or an in-memory buffer — so
+// every caller exercises the one read path.
 //
 // The engine also speaks a line-delimited batch protocol (`execute`):
 //
@@ -52,9 +51,6 @@ class QueryEngine {
   // the view plus indexes into it). `cache_capacity` bounds the LRU result
   // cache; 0 disables it.
   explicit QueryEngine(SnapshotView view, std::size_t cache_capacity = 1024);
-  // Convenience for owned snapshots (which must outlive the engine).
-  explicit QueryEngine(const Snapshot& snapshot,
-                       std::size_t cache_capacity = 1024);
 
   // ---- Typed queries ----
 
@@ -138,7 +134,7 @@ class QueryEngine {
 
   [[nodiscard]] std::string execute_uncached(const std::string& line) const;
   // Record index of the AS (kNone when absent) — indexes, not pointers,
-  // because wire-mode records are decoded per access.
+  // because records are decoded from the wire per access.
   [[nodiscard]] std::size_t find_as(std::uint32_t asn) const;
   [[nodiscard]] std::optional<PrefixRecord> find_covering_prefix(
       Ipv4Addr address) const;

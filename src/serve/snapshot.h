@@ -1,11 +1,13 @@
 // In-memory model of a compiled `.itms` map snapshot.
 //
-// This is what the reader validates a file into and what the writer
-// serializes back out: flat sorted vectors of fixed-shape records, indexed
-// by binary search — the serving layer's data model, deliberately divorced
-// from the builder's pointer-rich TrafficMap. Record order invariants
-// (documented per field) are part of the format; the reader rejects files
-// that violate them, which is what makes re-serialization byte-identical.
+// This is what compile_snapshot flattens a map into and what write_snapshot
+// serializes: flat sorted vectors of fixed-shape records — the serving
+// layer's data model, deliberately divorced from the builder's pointer-rich
+// TrafficMap. Reading goes the other way only through the wire views of
+// view.h; the record structs here are what those views decode to. Record
+// order invariants (documented per field) are part of the format; the
+// reader rejects files that violate them, which is what makes
+// re-serialization byte-identical.
 #pragma once
 
 #include <cstdint>

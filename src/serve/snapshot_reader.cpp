@@ -1,7 +1,6 @@
 #include "serve/snapshot_reader.h"
 
 #include <algorithm>
-#include <sstream>
 #include <utility>
 
 #include "obs/metrics.h"
@@ -367,67 +366,6 @@ std::optional<SnapshotView> borrow_snapshot(std::string_view bytes,
   obs::count("serve.snapshot.loads");
   obs::count("serve.snapshot.bytes_read", bytes.size());
   return view;
-}
-
-std::optional<Snapshot> read_snapshot(std::string_view bytes,
-                                      std::string* error) {
-  const auto view = borrow_snapshot(bytes, error);
-  if (!view) return std::nullopt;
-
-  // Materialize owned storage from the validated view. Every invariant was
-  // already checked, so this is a straight copy loop; re-serializing the
-  // result reproduces `bytes` exactly (the round-trip property test).
-  Snapshot snap;
-  snap.seed = view->seed;
-  snap.addresses_probed = view->addresses_probed;
-  snap.observed_links = view->observed_links;
-  snap.strings.reserve(view->strings.size());
-  for (std::size_t i = 0; i < view->strings.size(); ++i) {
-    snap.strings.emplace_back(view->strings[i]);
-  }
-  snap.countries.reserve(view->countries.size());
-  for (std::size_t i = 0; i < view->countries.size(); ++i) {
-    snap.countries.push_back(view->countries[i]);
-  }
-  snap.ases.reserve(view->ases.size());
-  for (std::size_t i = 0; i < view->ases.size(); ++i) {
-    snap.ases.push_back(view->ases[i]);
-  }
-  snap.prefixes.reserve(view->prefixes.size());
-  for (std::size_t i = 0; i < view->prefixes.size(); ++i) {
-    snap.prefixes.push_back(view->prefixes[i]);
-  }
-  snap.endpoints.reserve(view->endpoints.size());
-  for (std::size_t i = 0; i < view->endpoints.size(); ++i) {
-    snap.endpoints.push_back(view->endpoints[i]);
-  }
-  snap.mappings.reserve(view->mappings.size());
-  for (std::size_t i = 0; i < view->mappings.size(); ++i) {
-    const ServiceMappingView m = view->mappings[i];
-    ServiceMapping mapping;
-    mapping.service = m.service;
-    mapping.entries.reserve(m.entries.size());
-    for (std::size_t j = 0; j < m.entries.size(); ++j) {
-      mapping.entries.push_back(m.entries[j]);
-    }
-    snap.mappings.push_back(std::move(mapping));
-  }
-  snap.links.reserve(view->links.size());
-  for (std::size_t i = 0; i < view->links.size(); ++i) {
-    snap.links.push_back(view->links[i]);
-  }
-  return snap;
-}
-
-std::optional<Snapshot> read_snapshot(std::istream& is, std::string* error) {
-  std::ostringstream buffer;
-  buffer << is.rdbuf();
-  if (is.bad()) {
-    if (error != nullptr) *error = "failed to read snapshot stream";
-    return std::nullopt;
-  }
-  const std::string bytes = buffer.str();
-  return read_snapshot(bytes, error);
 }
 
 std::uint64_t snapshot_checksum(std::string_view bytes) {

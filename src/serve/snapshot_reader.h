@@ -6,15 +6,13 @@
 // are all checked before anything is returned. A snapshot that loads is
 // therefore safe to binary-search and will re-serialize byte-identically.
 //
-// Two load modes share one validation pass:
-//   * borrow_snapshot — zero-copy: returns a SnapshotView whose section
-//     views point into `bytes` (which must outlive the view). This is the
-//     resident server's mmap path; validation runs once, at map time.
-//   * read_snapshot — owning: materializes a Snapshot (decoded vectors)
-//     from the validated view. The writer/diff/tests path.
+// There is one load mode: borrow_snapshot validates the bytes once and
+// returns a SnapshotView whose section views point into them (which must
+// outlive the view). `itm serve`, the resident server's mmap'd epochs and
+// the delta applier all read snapshots this way; nothing decodes a whole
+// snapshot into owned vectors.
 #pragma once
 
-#include <istream>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -29,15 +27,6 @@ namespace itm::serve {
 // `error` (when non-null) to a one-line diagnostic on any violation.
 [[nodiscard]] std::optional<SnapshotView> borrow_snapshot(
     std::string_view bytes, std::string* error);
-
-// Parses and validates a snapshot from raw bytes into owned storage.
-[[nodiscard]] std::optional<Snapshot> read_snapshot(std::string_view bytes,
-                                                    std::string* error);
-
-// Stream convenience: slurps the stream and parses. A failed read (e.g. a
-// missing file opened upstream) reports through `error` as well.
-[[nodiscard]] std::optional<Snapshot> read_snapshot(std::istream& is,
-                                                    std::string* error);
 
 // The header checksum field of a canonical snapshot byte blob — the epoch
 // identity the delta format keys on. Assumes `bytes` already validated.

@@ -1,25 +1,25 @@
 // Zero-copy section views over `.itms` snapshot bytes.
 //
 // The wire format is flat, little-endian and offset-indexed, so a validated
-// file can be *served from in place*: a SnapshotView's record spans either
-// borrow the raw section bytes (mmap mode — records are decoded per access,
-// a handful of unaligned little-endian loads) or alias the decoded vectors
-// of an owned Snapshot. QueryEngine is written against SnapshotView, so the
-// batch CLI, the resident server and the tests all exercise one query path
-// regardless of where the bytes live.
+// file is *served from in place*: a SnapshotView's record spans borrow the
+// raw section bytes and decode a record per access (a handful of unaligned
+// little-endian loads). Validated wire bytes are the one read form of a
+// snapshot — QueryEngine, the resident server, the delta differ/applier and
+// the tests all read records through these views.
 //
-// A view never owns the underlying storage: the Snapshot, mmap, or byte
-// buffer it was built over must outlive it (MmapSnapshot and serve::Epoch
-// package storage + view together). The small auxiliary indexes a borrowed
-// view needs for random access — string offsets, the per-service mapping
-// directory — are owned by the view itself and cost a few bytes per entry
-// instead of a copy of the section.
+// A view never owns the underlying storage: the mmap or byte buffer it was
+// built over must outlive it (MmapSnapshot and serve::Epoch package storage
+// + view together). The small auxiliary indexes a view needs for random
+// access — string offsets, the per-service mapping directory — are owned by
+// the view itself and cost a few bytes per entry instead of a copy of the
+// section.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "serve/snapshot.h"
@@ -132,21 +132,14 @@ struct WireCodec<LinkRecord> {
   }
 };
 
-// A read-only random-access span of fixed-shape records backed either by
-// decoded structs (owned Snapshot) or by raw wire bytes (borrowed mapping).
-// operator[] returns by value: records are a few machine words, and decoding
-// on access is what makes the borrow path copy-free.
+// A read-only random-access span of fixed-shape records over raw wire
+// bytes. operator[] returns by value: records are a few machine words, and
+// decoding on access is what makes the view copy-free.
 template <typename Rec>
 class RecordSpan {
  public:
   RecordSpan() = default;
 
-  static RecordSpan decoded(const Rec* data, std::size_t count) {
-    RecordSpan span;
-    span.decoded_ = data;
-    span.count_ = count;
-    return span;
-  }
   static RecordSpan wire(const char* bytes, std::size_t count) {
     RecordSpan span;
     span.wire_ = bytes;
@@ -157,12 +150,14 @@ class RecordSpan {
   [[nodiscard]] std::size_t size() const { return count_; }
   [[nodiscard]] bool empty() const { return count_ == 0; }
   [[nodiscard]] Rec operator[](std::size_t i) const {
-    if (decoded_ != nullptr) return decoded_[i];
-    return WireCodec<Rec>::decode(wire_ + i * WireCodec<Rec>::kBytes);
+    return WireCodec<Rec>::decode(bytes(i).data());
+  }
+  // Record i's wire encoding — what deltas compare and carry.
+  [[nodiscard]] std::string_view bytes(std::size_t i) const {
+    return {wire_ + i * WireCodec<Rec>::kBytes, WireCodec<Rec>::kBytes};
   }
 
  private:
-  const Rec* decoded_ = nullptr;
   const char* wire_ = nullptr;
   std::size_t count_ = 0;
 };
@@ -187,39 +182,28 @@ std::size_t span_lower_bound(const RecordSpan<Rec>& span,
   return lo;
 }
 
-// String table view: owned mode aliases the Snapshot's vector; borrowed mode
-// keeps (offset, length) pairs into the section payload, so the string bytes
-// themselves stay in the mapping.
+// String table view: (offset, length) pairs into the section payload, so
+// the string bytes themselves stay in the mapping.
 class StringsView {
  public:
   StringsView() = default;
 
-  static StringsView decoded(const std::string* data, std::size_t count) {
-    StringsView view;
-    view.decoded_ = data;
-    view.count_ = count;
-    return view;
-  }
   static StringsView wire(const char* base,
                           std::vector<std::pair<std::uint32_t, std::uint32_t>>
                               offsets) {
     StringsView view;
     view.wire_ = base;
-    view.count_ = offsets.size();
     view.offsets_ = std::move(offsets);
     return view;
   }
 
-  [[nodiscard]] std::size_t size() const { return count_; }
+  [[nodiscard]] std::size_t size() const { return offsets_.size(); }
   [[nodiscard]] std::string_view operator[](std::size_t i) const {
-    if (decoded_ != nullptr) return decoded_[i];
     return {wire_ + offsets_[i].first, offsets_[i].second};
   }
 
  private:
-  const std::string* decoded_ = nullptr;
   const char* wire_ = nullptr;
-  std::size_t count_ = 0;
   std::vector<std::pair<std::uint32_t, std::uint32_t>> offsets_;
 };
 
@@ -230,7 +214,7 @@ struct ServiceMappingView {
   RecordSpan<MappingEntry> entries;
 };
 
-// The mapping section: services ascending. Borrowed mode carries a small
+// The mapping section: services ascending. The view carries a small
 // directory (service id, entry offset, entry count) built at validation
 // time; entries stay in the mapping.
 class MappingsView {
@@ -243,44 +227,33 @@ class MappingsView {
 
   MappingsView() = default;
 
-  static MappingsView decoded(const ServiceMapping* data, std::size_t count) {
-    MappingsView view;
-    view.decoded_ = data;
-    view.count_ = count;
-    return view;
-  }
   static MappingsView wire(const char* base, std::vector<WireDir> dir) {
     MappingsView view;
     view.wire_ = base;
-    view.count_ = dir.size();
     view.dir_ = std::move(dir);
     return view;
   }
 
-  [[nodiscard]] std::size_t size() const { return count_; }
+  [[nodiscard]] std::size_t size() const { return dir_.size(); }
   [[nodiscard]] ServiceMappingView operator[](std::size_t i) const {
-    ServiceMappingView view;
-    if (decoded_ != nullptr) {
-      view.service = decoded_[i].service;
-      view.entries = RecordSpan<MappingEntry>::decoded(
-          decoded_[i].entries.data(), decoded_[i].entries.size());
-    } else {
-      const WireDir& d = dir_[i];
-      view.service = d.service;
-      view.entries =
-          RecordSpan<MappingEntry>::wire(wire_ + d.entry_offset, d.entry_count);
-    }
-    return view;
+    const WireDir& d = dir_[i];
+    return {d.service,
+            RecordSpan<MappingEntry>::wire(wire_ + d.entry_offset,
+                                           d.entry_count)};
+  }
+  // Service i's wire encoding: service id, entry count, then the entries.
+  [[nodiscard]] std::string_view bytes(std::size_t i) const {
+    const WireDir& d = dir_[i];
+    return {wire_ + d.entry_offset - 8,
+            8 + d.entry_count * WireCodec<MappingEntry>::kBytes};
   }
 
  private:
-  const ServiceMapping* decoded_ = nullptr;
   const char* wire_ = nullptr;
-  std::size_t count_ = 0;
   std::vector<WireDir> dir_;
 };
 
-// The whole snapshot as sections views — what QueryEngine serves from.
+// The whole snapshot as section views — what QueryEngine serves from.
 struct SnapshotView {
   std::uint64_t seed = 0;
   std::uint64_t addresses_probed = 0;
@@ -293,29 +266,6 @@ struct SnapshotView {
   RecordSpan<EndpointRecord> endpoints;
   MappingsView mappings;
   RecordSpan<LinkRecord> links;
-
-  // A view aliasing an owned Snapshot's vectors (which must outlive it).
-  [[nodiscard]] static SnapshotView of(const Snapshot& snap) {
-    SnapshotView view;
-    view.seed = snap.seed;
-    view.addresses_probed = snap.addresses_probed;
-    view.observed_links = snap.observed_links;
-    view.strings =
-        StringsView::decoded(snap.strings.data(), snap.strings.size());
-    view.countries = RecordSpan<CountryRecord>::decoded(snap.countries.data(),
-                                                        snap.countries.size());
-    view.ases =
-        RecordSpan<AsRecord>::decoded(snap.ases.data(), snap.ases.size());
-    view.prefixes = RecordSpan<PrefixRecord>::decoded(snap.prefixes.data(),
-                                                      snap.prefixes.size());
-    view.endpoints = RecordSpan<EndpointRecord>::decoded(
-        snap.endpoints.data(), snap.endpoints.size());
-    view.mappings =
-        MappingsView::decoded(snap.mappings.data(), snap.mappings.size());
-    view.links =
-        RecordSpan<LinkRecord>::decoded(snap.links.data(), snap.links.size());
-    return view;
-  }
 };
 
 }  // namespace itm::serve

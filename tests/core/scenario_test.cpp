@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include "../test_scenario.h"
+#include "core/scale.h"
+#include "core/traffic_map.h"
 
 namespace itm::core {
 namespace {
@@ -56,6 +58,50 @@ TEST(Scenario, ConfigPresetsScale) {
   const auto large = large_config();
   EXPECT_LT(tiny.topology.num_access, def.topology.num_access);
   EXPECT_LT(def.topology.num_access, large.topology.num_access);
+}
+
+// The fields tier_build_options() sets.
+void expect_same_build(const MapBuildOptions& a, const MapBuildOptions& b) {
+  EXPECT_EQ(a.tier, b.tier);
+  EXPECT_EQ(a.workload.queries_per_activity, b.workload.queries_per_activity);
+  EXPECT_EQ(a.workload.sessions_per_user, b.workload.sessions_per_user);
+  EXPECT_EQ(a.workload.top_services, b.workload.top_services);
+  EXPECT_EQ(a.probe_rounds, b.probe_rounds);
+  EXPECT_EQ(a.ecs_map_services, b.ecs_map_services);
+  EXPECT_EQ(a.routing_destination_stride, b.routing_destination_stride);
+}
+
+TEST(Scale, PinnedTiersResolveToTierBuildOptions) {
+  for (const ScaleTier tier : {ScaleTier::kMedium, ScaleTier::kHuge}) {
+    ScenarioConfig config;
+    MapBuildOptions options;
+    ASSERT_TRUE(resolve_scale(to_string(tier), std::nullopt, config, options));
+    expect_same_build(options, tier_build_options(tier));
+    EXPECT_EQ(config.seed, tier_seed(tier));
+    EXPECT_EQ(config.topology.num_access,
+              tier_config(tier).topology.num_access);
+    // An explicit seed replaces the pinned one; the build stays the tier's.
+    ASSERT_TRUE(resolve_scale(to_string(tier), 7, config, options));
+    EXPECT_EQ(config.seed, 7u);
+    expect_same_build(options, tier_build_options(tier));
+  }
+}
+
+TEST(Scale, ExplorationScalesResolveToDefaultBuildOptions) {
+  for (const char* name : {"tiny", "default", "large"}) {
+    ScenarioConfig config;
+    MapBuildOptions options;
+    options.probe_rounds = 99;  // a stale value must not survive
+    ASSERT_TRUE(resolve_scale(name, 5, config, options)) << name;
+    expect_same_build(options, MapBuildOptions{});
+    EXPECT_EQ(config.seed, 5u);
+  }
+  ScenarioConfig config;
+  MapBuildOptions options;
+  ASSERT_TRUE(resolve_scale("tiny", std::nullopt, config, options));
+  EXPECT_EQ(config.seed, tiny_config().seed);
+  EXPECT_EQ(config.topology.num_access, tiny_config().topology.num_access);
+  EXPECT_FALSE(resolve_scale("galactic", std::nullopt, config, options));
 }
 
 }  // namespace

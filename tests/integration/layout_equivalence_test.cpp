@@ -1,10 +1,9 @@
-// The data-layout half of the determinism contract: a map built through the
-// SoA access path (topology::AsTable columns + interned strings) must
-// produce byte-identical exports, deterministic metrics and `.itms`
-// snapshot bytes as one built through the legacy AoS path
-// (AsGraph/AsInfo) — at every thread count. The comparisons go through the
-// exporters and the snapshot writer, so string-table order, hash-map
-// iteration and float formatting are all covered (DESIGN.md decision #10).
+// The data-layout half of the determinism contract: a map built over the
+// SoA topology (topology::AsTable columns + interned strings) must produce
+// byte-identical exports, deterministic metrics and `.itms` snapshot bytes
+// at every thread count. The comparisons go through the exporters and the
+// snapshot writer, so string-table order, hash-map iteration and float
+// formatting are all covered (DESIGN.md decision #10).
 #include <gtest/gtest.h>
 
 #include <sstream>
@@ -19,10 +18,8 @@
 namespace itm {
 namespace {
 
-core::MapBuildOptions build_options(core::DataLayout layout,
-                                    std::size_t threads) {
+core::MapBuildOptions build_options(std::size_t threads) {
   core::MapBuildOptions options;
-  options.layout = layout;
   options.threads = threads;
   options.probe_rounds = 4;
   options.ecs_map_services = 2;
@@ -38,15 +35,14 @@ struct Artifacts {
   std::string snapshot;
 };
 
-// Fresh scenario per build: the workload stage mutates DNS caches, so both
-// layouts must start from identical virgin state.
-Artifacts build_artifacts(core::DataLayout layout, std::size_t threads) {
+// Fresh scenario per build: the workload stage mutates DNS caches, so every
+// build must start from identical virgin state.
+Artifacts build_artifacts(std::size_t threads) {
   obs::MetricsRegistry registry;
   obs::ScopedMetrics metrics_scope(registry);
   auto scenario = core::Scenario::generate(core::tiny_config(4242));
   core::MapBuilder builder(*scenario);
-  const auto map = builder.build(build_options(layout, threads));
-  EXPECT_EQ(map.layout, layout);
+  const auto map = builder.build(build_options(threads));
   Artifacts out;
   std::ostringstream os;
   core::export_map_json(map, *scenario, os);
@@ -76,29 +72,12 @@ void expect_identical(const Artifacts& a, const Artifacts& b) {
   EXPECT_FALSE(a.snapshot.empty());
 }
 
-TEST(LayoutEquivalence, LegacyAndSoaProduceByteIdenticalArtifacts) {
-  const auto legacy = build_artifacts(core::DataLayout::kLegacy, 1);
-  const auto soa = build_artifacts(core::DataLayout::kSoa, 1);
-  expect_identical(legacy, soa);
-  // The AS-name JSON really exercised the two name paths (non-trivial
-  // content, not two empty exports agreeing by accident).
-  EXPECT_NE(soa.map_json.find("\"name\": \""), std::string::npos);
-}
-
 TEST(LayoutEquivalence, SoaLayoutIsByteIdenticalAcrossThreadCounts) {
-  const auto serial = build_artifacts(core::DataLayout::kSoa, 1);
-  const auto four = build_artifacts(core::DataLayout::kSoa, 4);
-  const auto eight = build_artifacts(core::DataLayout::kSoa, 8);
+  const auto serial = build_artifacts(1);
+  const auto four = build_artifacts(4);
+  const auto eight = build_artifacts(8);
   expect_identical(serial, four);
   expect_identical(serial, eight);
-}
-
-TEST(LayoutEquivalence, LayoutAndThreadsComposeIdentically) {
-  // The cross term: serial legacy vs parallel SoA — the exact pairing the
-  // old and new pipelines run in production.
-  const auto legacy_serial = build_artifacts(core::DataLayout::kLegacy, 1);
-  const auto soa_eight = build_artifacts(core::DataLayout::kSoa, 8);
-  expect_identical(legacy_serial, soa_eight);
 }
 
 }  // namespace

@@ -16,6 +16,7 @@
 #include "core/scale.h"
 #include "core/scenario.h"
 #include "core/traffic_map.h"
+#include "serve/delta.h"
 #include "serve/snapshot_reader.h"
 #include "serve/snapshot_writer.h"
 
@@ -146,12 +147,12 @@ TEST_F(ScaleSmoke, SnapshotSelfValidatesAndRoundTrips) {
   serve::write_snapshot(*map_, *scenario_, blob_out);
   const std::string blob = blob_out.str();
   std::string error;
-  const auto snapshot = serve::read_snapshot(std::string_view(blob), &error);
+  const auto snapshot = serve::borrow_snapshot(blob, &error);
   ASSERT_TRUE(snapshot) << error;
   EXPECT_EQ(snapshot->ases.size(), scenario_->topo().graph.size());
-  std::ostringstream blob_again;
-  serve::write_snapshot(*snapshot, blob_again);
-  EXPECT_EQ(blob_again.str(), blob);
+  const auto delta = serve::diff_snapshots(blob, blob, &error);
+  ASSERT_TRUE(delta) << error;
+  EXPECT_EQ(serve::apply_delta(blob, *delta, &error), blob);
 }
 
 }  // namespace

@@ -270,5 +270,18 @@ TEST(ScopedTracer, SpanUsesTracerCurrentAtConstruction) {
   EXPECT_EQ(b.span_count(), 0u);
 }
 
+TEST(ScopedTracer, SpanWithoutTracerRecordsNothingButStillTimes) {
+  // No tracer is current when the span opens, so it records nowhere: a
+  // resident server's per-batch executor spans must not pile up in a
+  // trace nobody reads. The duration still feeds close() callers.
+  ASSERT_EQ(current_tracer(), nullptr);
+  Tracer later;
+  Span span("untraced");
+  const ScopedTracer scope(later);
+  spin_for_at_least(std::chrono::microseconds(100));
+  EXPECT_GE(span.close(), 100e-6);
+  EXPECT_EQ(later.span_count(), 0u);
+}
+
 }  // namespace
 }  // namespace itm::obs

@@ -39,9 +39,9 @@ class DeltaTest : public ::testing::Test {
     std::ostringstream os;
     write_snapshot(map, *scenario, os);
     base_bytes_ = new std::string(os.str());
-    std::string error;
-    base_ = new Snapshot(
-        *read_snapshot(std::string_view(*base_bytes_), &error));
+    // Variants are built by mutating the compiled records the bytes were
+    // written from.
+    base_ = new Snapshot(compile_snapshot(map, *scenario));
   }
   static void TearDownTestSuite() {
     delete base_;

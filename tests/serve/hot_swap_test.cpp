@@ -50,8 +50,7 @@ class HotSwapTest : public ::testing::Test {
     versions_->push_back(os.str());
 
     std::string error;
-    Snapshot snap = *read_snapshot(std::string_view(versions_->front()),
-                                   &error);
+    Snapshot snap = compile_snapshot(map, *scenario);
     for (std::size_t k = 1; k < kVersions; ++k) {
       // Each step changes the stats line and the activity ranking.
       snap.addresses_probed += 1000 + k;

@@ -1,7 +1,7 @@
-// Zero-copy loading tests: the borrowed SnapshotView over raw bytes must be
-// observationally identical to the owned Snapshot — section for section,
-// record for record, and through the QueryEngine answer protocol — and
-// MmapSnapshot must reject every corrupted file the buffer reader rejects.
+// Zero-copy loading tests: the borrowed SnapshotView over raw bytes must
+// decode to exactly what compile_snapshot produced from the map — section
+// for section, record for record — and MmapSnapshot must reject every
+// corrupted file the buffer reader rejects.
 #include "serve/mmap.h"
 
 #include <gtest/gtest.h>
@@ -13,7 +13,6 @@
 
 #include "core/scenario.h"
 #include "core/traffic_map.h"
-#include "serve/query_engine.h"
 #include "serve/snapshot_reader.h"
 #include "serve/snapshot_writer.h"
 
@@ -59,29 +58,30 @@ core::TrafficMap* MmapViewTest::map_ = nullptr;
 std::string* MmapViewTest::blob_ = nullptr;
 
 TEST_F(MmapViewTest, BorrowedViewMatchesOwnedSnapshot) {
+  // The compiled records are the independent reference: they come from the
+  // map, not from the bytes under test.
+  const Snapshot owned = compile_snapshot(*map_, *scenario_);
   std::string error;
-  const auto owned = read_snapshot(std::string_view(*blob_), &error);
-  ASSERT_TRUE(owned.has_value()) << error;
   const auto borrowed = borrow_snapshot(std::string_view(*blob_), &error);
   ASSERT_TRUE(borrowed.has_value()) << error;
 
-  EXPECT_EQ(borrowed->seed, owned->seed);
-  EXPECT_EQ(borrowed->addresses_probed, owned->addresses_probed);
-  EXPECT_EQ(borrowed->observed_links, owned->observed_links);
+  EXPECT_EQ(borrowed->seed, owned.seed);
+  EXPECT_EQ(borrowed->addresses_probed, owned.addresses_probed);
+  EXPECT_EQ(borrowed->observed_links, owned.observed_links);
 
-  ASSERT_EQ(borrowed->strings.size(), owned->strings.size());
-  for (std::size_t i = 0; i < owned->strings.size(); ++i) {
-    EXPECT_EQ(borrowed->strings[i], owned->strings[i]);
+  ASSERT_EQ(borrowed->strings.size(), owned.strings.size());
+  for (std::size_t i = 0; i < owned.strings.size(); ++i) {
+    EXPECT_EQ(borrowed->strings[i], owned.strings[i]);
   }
-  ASSERT_EQ(borrowed->countries.size(), owned->countries.size());
-  for (std::size_t i = 0; i < owned->countries.size(); ++i) {
-    EXPECT_EQ(borrowed->countries[i].country, owned->countries[i].country);
-    EXPECT_EQ(borrowed->countries[i].name_ref, owned->countries[i].name_ref);
+  ASSERT_EQ(borrowed->countries.size(), owned.countries.size());
+  for (std::size_t i = 0; i < owned.countries.size(); ++i) {
+    EXPECT_EQ(borrowed->countries[i].country, owned.countries[i].country);
+    EXPECT_EQ(borrowed->countries[i].name_ref, owned.countries[i].name_ref);
   }
-  ASSERT_EQ(borrowed->ases.size(), owned->ases.size());
-  for (std::size_t i = 0; i < owned->ases.size(); ++i) {
+  ASSERT_EQ(borrowed->ases.size(), owned.ases.size());
+  for (std::size_t i = 0; i < owned.ases.size(); ++i) {
     const AsRecord a = borrowed->ases[i];
-    const AsRecord& b = owned->ases[i];
+    const AsRecord& b = owned.ases[i];
     EXPECT_EQ(a.asn, b.asn);
     EXPECT_EQ(a.name_ref, b.name_ref);
     EXPECT_EQ(a.country, b.country);
@@ -89,18 +89,18 @@ TEST_F(MmapViewTest, BorrowedViewMatchesOwnedSnapshot) {
     EXPECT_EQ(a.flags, b.flags);
     EXPECT_EQ(a.activity, b.activity);
   }
-  ASSERT_EQ(borrowed->prefixes.size(), owned->prefixes.size());
-  for (std::size_t i = 0; i < owned->prefixes.size(); ++i) {
+  ASSERT_EQ(borrowed->prefixes.size(), owned.prefixes.size());
+  for (std::size_t i = 0; i < owned.prefixes.size(); ++i) {
     const PrefixRecord a = borrowed->prefixes[i];
-    const PrefixRecord& b = owned->prefixes[i];
+    const PrefixRecord& b = owned.prefixes[i];
     EXPECT_EQ(a.base, b.base);
     EXPECT_EQ(a.length, b.length);
     EXPECT_EQ(a.origin_asn, b.origin_asn);
   }
-  ASSERT_EQ(borrowed->endpoints.size(), owned->endpoints.size());
-  for (std::size_t i = 0; i < owned->endpoints.size(); ++i) {
+  ASSERT_EQ(borrowed->endpoints.size(), owned.endpoints.size());
+  for (std::size_t i = 0; i < owned.endpoints.size(); ++i) {
     const EndpointRecord a = borrowed->endpoints[i];
-    const EndpointRecord& b = owned->endpoints[i];
+    const EndpointRecord& b = owned.endpoints[i];
     EXPECT_EQ(a.address, b.address);
     EXPECT_EQ(a.origin_asn, b.origin_asn);
     EXPECT_EQ(a.operator_ref, b.operator_ref);
@@ -108,10 +108,10 @@ TEST_F(MmapViewTest, BorrowedViewMatchesOwnedSnapshot) {
     EXPECT_EQ(a.lat_deg, b.lat_deg);
     EXPECT_EQ(a.lon_deg, b.lon_deg);
   }
-  ASSERT_EQ(borrowed->mappings.size(), owned->mappings.size());
-  for (std::size_t m = 0; m < owned->mappings.size(); ++m) {
+  ASSERT_EQ(borrowed->mappings.size(), owned.mappings.size());
+  for (std::size_t m = 0; m < owned.mappings.size(); ++m) {
     const ServiceMappingView a = borrowed->mappings[m];
-    const ServiceMapping& b = owned->mappings[m];
+    const ServiceMapping& b = owned.mappings[m];
     EXPECT_EQ(a.service, b.service);
     ASSERT_EQ(a.entries.size(), b.entries.size());
     for (std::size_t e = 0; e < b.entries.size(); ++e) {
@@ -120,50 +120,11 @@ TEST_F(MmapViewTest, BorrowedViewMatchesOwnedSnapshot) {
       EXPECT_EQ(a.entries[e].address, b.entries[e].address);
     }
   }
-  ASSERT_EQ(borrowed->links.size(), owned->links.size());
-  for (std::size_t i = 0; i < owned->links.size(); ++i) {
-    EXPECT_EQ(borrowed->links[i].a, owned->links[i].a);
-    EXPECT_EQ(borrowed->links[i].b, owned->links[i].b);
-    EXPECT_EQ(borrowed->links[i].score, owned->links[i].score);
-  }
-}
-
-TEST_F(MmapViewTest, EngineAnswersMatchAcrossBackends) {
-  std::string error;
-  const auto owned = read_snapshot(std::string_view(*blob_), &error);
-  ASSERT_TRUE(owned.has_value()) << error;
-  const auto borrowed = borrow_snapshot(std::string_view(*blob_), &error);
-  ASSERT_TRUE(borrowed.has_value()) << error;
-
-  QueryEngine decoded_engine(*owned, 0);
-  QueryEngine wire_engine(*borrowed, 0);
-  const std::string queries[] = {
-      "stats",
-      "top-as 10",
-      "top-country 5",
-      "lookup 10.0.0.1",
-      "lookup 100.64.9.1",
-      "prefix 10.0.0.0/24",
-      "as 4808",
-      "outage 4808",
-      "country 3",
-      "bogus line",
-  };
-  for (const auto& q : queries) {
-    EXPECT_EQ(wire_engine.answer(q), decoded_engine.answer(q)) << q;
-  }
-  // Sweep every AS so find_as and the per-AS indexes get full coverage.
-  for (std::size_t i = 0; i < owned->ases.size(); ++i) {
-    const std::string q = "as " + std::to_string(owned->ases[i].asn);
-    EXPECT_EQ(wire_engine.answer(q), decoded_engine.answer(q)) << q;
-    const std::string o = "outage " + std::to_string(owned->ases[i].asn);
-    EXPECT_EQ(wire_engine.answer(o), decoded_engine.answer(o)) << o;
-  }
-  // And every detected prefix base, exercising the covering-prefix search.
-  for (std::size_t i = 0; i < owned->prefixes.size(); ++i) {
-    const std::string q =
-        "lookup " + owned->prefixes[i].prefix().base().to_string();
-    EXPECT_EQ(wire_engine.answer(q), decoded_engine.answer(q)) << q;
+  ASSERT_EQ(borrowed->links.size(), owned.links.size());
+  for (std::size_t i = 0; i < owned.links.size(); ++i) {
+    EXPECT_EQ(borrowed->links[i].a, owned.links[i].a);
+    EXPECT_EQ(borrowed->links[i].b, owned.links[i].b);
+    EXPECT_EQ(borrowed->links[i].score, owned.links[i].score);
   }
 }
 

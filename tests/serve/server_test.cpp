@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -50,7 +52,7 @@ class ServerTest : public ::testing::Test {
     base_bytes_ = new std::string(os.str());
 
     std::string error;
-    Snapshot target = *read_snapshot(std::string_view(*base_bytes_), &error);
+    Snapshot target = compile_snapshot(map, *scenario);
     target.addresses_probed += 777;
     target.ases.front().activity += 1.0;
     std::ostringstream tos;
@@ -78,8 +80,12 @@ class ServerTest : public ::testing::Test {
   void SetUp() override { Server::clear_shutdown(); }
   void TearDown() override { Server::clear_shutdown(); }
 
+  // ctest runs every case as its own process, in parallel: a path shared
+  // between processes would be truncated under another's live mapping
+  // (SIGBUS), so each process writes its own files.
   static std::string write_temp(const std::string& bytes, const char* name) {
-    std::string path = ::testing::TempDir() + "server_test_" + name;
+    std::string path = ::testing::TempDir() + "server_test_" +
+                       std::to_string(::getpid()) + "_" + name;
     std::ofstream out(path, std::ios::binary | std::ios::trunc);
     out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
     return path;

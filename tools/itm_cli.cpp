@@ -240,22 +240,25 @@ class RunInstrumentation {
   RunInstrumentation& operator=(const RunInstrumentation&) = delete;
 };
 
-std::unique_ptr<core::Scenario> make_scenario(const CliOptions& options) {
+// The world and map-build options that --scale/--seed/--threads name,
+// resolved the same way the benches resolve a scale name.
+struct World {
+  std::unique_ptr<core::Scenario> scenario;
+  core::MapBuildOptions build;
+};
+
+World make_world(const CliOptions& options) {
+  // Pinned tiers keep their own seed unless --seed is given; parse() has
+  // already rejected unknown scale names.
   core::ScenarioConfig config;
-  if (options.scale == "tiny") {
-    config = core::tiny_config(options.seed);
-  } else if (options.scale == "large") {
-    config = core::large_config(options.seed);
-  } else if (const auto tier = core::parse_scale_tier(options.scale);
-             tier && *tier != core::ScaleTier::kTiny) {
-    // Pinned bench tiers (medium/huge): tier_config pins the seed, but the
-    // CLI is an exploration tool, so an explicit --seed still wins.
-    config = core::tier_config(*tier);
-    if (options.seed_explicit) config.seed = options.seed;
-  } else {
-    config = core::default_config(options.seed);
-  }
-  return core::Scenario::generate(config);
+  World world;
+  (void)core::resolve_scale(
+      options.scale,
+      options.seed_explicit ? std::optional(options.seed) : std::nullopt,
+      config, world.build);
+  world.build.threads = options.threads;
+  world.scenario = core::Scenario::generate(config);
+  return world;
 }
 
 std::optional<Asn> find_as(const core::Scenario& scenario,
@@ -267,7 +270,7 @@ std::optional<Asn> find_as(const core::Scenario& scenario,
 }
 
 int cmd_generate(const CliOptions& options) {
-  auto scenario = make_scenario(options);
+  auto scenario = make_world(options).scenario;
   const auto& topo = scenario->topo();
   core::Table table({"inventory", "count"});
   table.row("ASes", topo.graph.size());
@@ -306,13 +309,11 @@ int cmd_map(const CliOptions& options) {
 
   // Stage 0 of the run: a SIGTERM during generation must still leave a
   // journal naming the stage in flight, exactly like the build stages.
-  auto scenario = [&options] {
+  auto [scenario, build_options] = [&options] {
     const obs::StageScope stage("map.generate", 0, 5);
-    return make_scenario(options);
+    return make_world(options);
   }();
   core::MapBuilder builder(*scenario);
-  core::MapBuildOptions build_options;
-  build_options.threads = options.threads;
   if (options.verbose) {
     build_options.on_stage = [](const char* stage) {
       std::cerr << "[itm] stage " << stage << "...\n";
@@ -385,7 +386,7 @@ int cmd_outage(const CliOptions& options) {
     std::cerr << "usage: itm outage <as-name>\n";
     return kExitUsage;
   }
-  auto scenario = make_scenario(options);
+  auto [scenario, build_options] = make_world(options);
   const auto failed = find_as(*scenario, options.positional[0]);
   if (!failed) {
     std::cerr << "unknown AS '" << options.positional[0] << "'\n";
@@ -398,8 +399,6 @@ int cmd_outage(const CliOptions& options) {
     return kExitRuntime;
   }
   core::MapBuilder builder(*scenario);
-  core::MapBuildOptions build_options;
-  build_options.threads = options.threads;
   std::cerr << "building the traffic map...\n";
   const auto map = builder.build(build_options);
   const auto estimate = map.outage_impact(*failed, scenario->topo().addresses);
@@ -430,7 +429,7 @@ int cmd_path(const CliOptions& options) {
     std::cerr << "usage: itm path <src-as> <dst-as>\n";
     return kExitUsage;
   }
-  auto scenario = make_scenario(options);
+  auto scenario = make_world(options).scenario;
   const auto src = find_as(*scenario, options.positional[0]);
   const auto dst = find_as(*scenario, options.positional[1]);
   if (!src || !dst) {
@@ -462,7 +461,7 @@ int cmd_path(const CliOptions& options) {
 }
 
 int cmd_top(const CliOptions& options) {
-  auto scenario = make_scenario(options);
+  auto scenario = make_world(options).scenario;
   core::Table services({"rank", "service", "host", "mechanism", "share"});
   const auto ranked = scenario->catalog().by_popularity();
   for (std::size_t i = 0; i < 15 && i < ranked.size(); ++i) {
@@ -484,7 +483,7 @@ int cmd_rel_export(const CliOptions& options) {
     std::cerr << "usage: itm rel-export <file>\n";
     return kExitUsage;
   }
-  auto scenario = make_scenario(options);
+  auto scenario = make_world(options).scenario;
   std::ofstream out(options.positional[0]);
   topology::write_as_rel(scenario->topo().graph, out);
   std::cout << "wrote " << scenario->topo().graph.links().size()
@@ -549,13 +548,11 @@ int cmd_snapshot(const CliOptions& options) {
 
   // Stage 0 of the run: a SIGTERM during generation must still leave a
   // journal naming the stage in flight, exactly like the build stages.
-  auto scenario = [&options] {
+  auto [scenario, build_options] = [&options] {
     const obs::StageScope stage("map.generate", 0, 5);
-    return make_scenario(options);
+    return make_world(options);
   }();
   core::MapBuilder builder(*scenario);
-  core::MapBuildOptions build_options;
-  build_options.threads = options.threads;
   std::cerr << "building the traffic map...\n";
   const auto map = builder.build(build_options);
 
@@ -564,7 +561,7 @@ int cmd_snapshot(const CliOptions& options) {
   const std::string blob = bytes.str();
   // Self-check: the bytes we are about to publish must load cleanly.
   std::string error;
-  if (!serve::read_snapshot(std::string_view(blob), &error)) {
+  if (!serve::borrow_snapshot(blob, &error)) {
     std::cerr << "internal error: snapshot failed validation: " << error
               << "\n";
     return kExitRuntime;
