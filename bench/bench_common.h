@@ -56,16 +56,6 @@ inline void report_speedup(const char* stage, double serial_s,
             << "x)\n";
 }
 
-// Prints the per-stage wall times of a finished map build.
-inline void report_stage_timings(const core::MapBuildTimings& t) {
-  std::cerr << "[bench] stage wall time: probing "
-            << core::num(t.workload_probe_s, 2) << " s, tls "
-            << core::num(t.tls_scan_s, 2) << " s, ecs "
-            << core::num(t.ecs_map_s, 2) << " s, routing "
-            << core::num(t.routing_s, 2) << " s, inference "
-            << core::num(t.inference_s, 2) << " s\n";
-}
-
 // Writes the current metrics registry (all sections, including wall-clock)
 // to $ITM_BENCH_METRICS_DIR/<bench_name>.metrics.json; no-op when the env
 // var is unset. Call once per bench run, after the measured work.
@@ -116,7 +106,8 @@ inline std::size_t peak_rss_bytes() {
 // Single-line machine-readable bench record (the BENCH_<tier>.json format):
 // insertion-ordered keys, integers verbatim, doubles with enough digits to
 // round-trip. tools/check_bench.sh parses and diffs these records, so keys
-// are part of the bench schema — add, don't rename.
+// are part of the bench schema: renaming one also renames it in
+// tools/bench_diff.py and in the committed records, in the same change.
 class BenchRecord {
  public:
   explicit BenchRecord(std::string bench_name) {

@@ -92,9 +92,14 @@ int main(int argc, char** argv) {
   const std::size_t threads =
       argc > 4 ? std::strtoull(argv[4], nullptr, 10) : 0;
 
-  core::MapBuilder builder(*scenario);
+  // The scale's map-build options, resolved as `itm --scale` and
+  // substrate_scale resolve them: a pinned tier builds its bench artifact.
+  core::ScenarioConfig resolved;
   core::MapBuildOptions build_options;
+  (void)core::resolve_scale(argc > 2 ? argv[2] : "default",
+                            scenario->config().seed, resolved, build_options);
   build_options.threads = threads;
+  core::MapBuilder builder(*scenario);
   std::cerr << "[bench] building the traffic map...\n";
   const auto map = builder.build(build_options);
 

@@ -1,18 +1,16 @@
-// SUBSTRATE — the Internet-scale data-layout bench behind the committed
+// SUBSTRATE — the Internet-scale substrate bench behind the committed
 // BENCH_<tier>.json trajectory.
 //
 // For a pinned scale tier (core::ScaleTier: tiny / medium / huge — pinned
 // seed, pinned config) this bench:
 //
 //   1. generates the scenario and times it,
-//   2. measures the substrate layouts side by side:
-//        bytes/AS      — SoA topology::AsTable vs the AoS AsGraph it views,
-//        bytes/prefix  — path-compressed arena PrefixTrie vs a bench-local
-//                        copy of the node-per-bit trie it replaced
-//                        (legacy_layout.h), both loaded with every routable
-//                        /24,
+//   2. measures the substrate's memory:
+//        bytes/AS      — topology::AsGraph::memory_bytes() per AS,
+//        bytes/prefix  — the path-compressed arena PrefixTrie loaded with
+//                        every routable /24,
 //   3. builds the full traffic map with the tier's build options and
-//      times it,
+//      times it (per-stage seconds from the obs tracer),
 //   4. compiles the `.itms` snapshot and replays a deterministic
 //      lookup-heavy query stream through the production QueryEngine
 //      (serve qps),
@@ -28,9 +26,9 @@
 #include <string>
 
 #include "bench_common.h"
-#include "legacy_layout.h"
 #include "net/prefix_trie.h"
 #include "net/rng.h"
+#include "obs/trace.h"
 #include "serve/delta.h"
 #include "serve/format.h"
 #include "serve/query_engine.h"
@@ -92,34 +90,36 @@ int main(int argc, char** argv) {
             << " links, " << scenario->users().size() << " user /24s ("
             << core::num(generate_s, 1) << " s)\n";
 
-  // ---- 2. layouts side by side, same data.
-  const std::size_t as_bytes_soa = topo.table.memory_bytes();
-  const std::size_t as_bytes_legacy = topo.graph.memory_bytes();
-
+  // ---- 2. substrate memory.
+  const std::size_t as_bytes = topo.graph.memory_bytes();
   const auto routable = topo.addresses.routable_slash24s();
-  PrefixTrie<Asn> arena_trie;
-  arena_trie.reserve(routable.size());
-  bench::LegacyPrefixTrie<Asn> legacy_trie;
+  PrefixTrie<Asn> trie;
+  trie.reserve(routable.size());
   for (const auto& prefix : routable) {
     const auto origin = topo.addresses.origin_of(prefix);
-    const Asn asn = origin ? *origin : Asn(0);
-    arena_trie.insert(prefix, asn);
-    legacy_trie.insert(prefix, asn);
+    trie.insert(prefix, origin ? *origin : Asn(0));
   }
   const std::size_t n_prefixes = routable.size();
-  std::cerr << "[bench] trie over " << n_prefixes << " /24s: arena "
-            << arena_trie.node_count() << " nodes / "
-            << arena_trie.memory_bytes() << " B, legacy "
-            << legacy_trie.node_count() << " nodes / "
-            << legacy_trie.memory_bytes() << " B\n";
+  std::cerr << "[bench] trie over " << n_prefixes << " /24s: "
+            << trie.node_count() << " nodes / " << trie.memory_bytes()
+            << " B\n";
 
   // ---- 3. the full pipeline at the tier's build options.
   core::MapBuilder builder(*scenario);
   std::cerr << "[bench] building the traffic map...\n";
+  obs::Tracer tracer;
+  const obs::ScopedTracer trace_scope(tracer);
   bench::WallTimer build_timer;
   const auto map = builder.build(options);
   const double build_s = build_timer.seconds();
-  bench::report_stage_timings(builder.last_timings());
+  std::cerr << "[bench] stage wall time:";
+  const char* separator = " ";
+  for (const char* stage : core::kMapStageNames) {
+    std::cerr << separator << stage << " "
+              << core::num(tracer.total_seconds(stage), 2) << " s";
+    separator = ", ";
+  }
+  std::cerr << "\n";
 
   // ---- 4. snapshot + a deterministic serve replay.
   const serve::Snapshot compiled = serve::compile_snapshot(map, *scenario);
@@ -196,17 +196,10 @@ int main(int argc, char** argv) {
       .num("routable_prefixes", static_cast<std::uint64_t>(n_prefixes))
       .num("user_prefixes",
            static_cast<std::uint64_t>(scenario->users().size()))
-      .num("bytes_per_as_soa", static_cast<double>(as_bytes_soa) / n_ases)
-      .num("bytes_per_as_legacy",
-           static_cast<double>(as_bytes_legacy) / n_ases)
-      .num("bytes_per_prefix_soa",
-           static_cast<double>(arena_trie.memory_bytes()) / n_prefixes)
-      .num("bytes_per_prefix_legacy",
-           static_cast<double>(legacy_trie.memory_bytes()) / n_prefixes)
-      .num("trie_nodes_soa",
-           static_cast<std::uint64_t>(arena_trie.node_count()))
-      .num("trie_nodes_legacy",
-           static_cast<std::uint64_t>(legacy_trie.node_count()))
+      .num("bytes_per_as", static_cast<double>(as_bytes) / n_ases)
+      .num("bytes_per_prefix",
+           static_cast<double>(trie.memory_bytes()) / n_prefixes)
+      .num("trie_nodes", static_cast<std::uint64_t>(trie.node_count()))
       .num("snapshot_bytes", static_cast<std::uint64_t>(blob.size()))
       .num("client_prefixes",
            static_cast<std::uint64_t>(map.client_prefixes.size()))

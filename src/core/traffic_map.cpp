@@ -94,31 +94,21 @@ class DnsStatsDelta {
 TrafficMap MapBuilder::build(const MapBuildOptions& options) {
   Scenario& s = *scenario_;
   TrafficMap map;
-  timings_ = MapBuildTimings{};
   obs::gauge_set("map.scale_tier", static_cast<std::int64_t>(options.tier));
   const auto stage_begin = [&options](const char* stage) {
     if (options.on_stage) options.on_stage(stage);
   };
 
-  // Substrate arena gauges: how much memory the SoA columns, the interned
-  // strings and the origin radix tree hold going into the build. Wall-clock
-  // (capacity depends on allocator growth, not the seed).
+  // Substrate arena gauges: how much memory the origin radix tree holds
+  // going into the build. Wall-clock (capacity depends on allocator growth,
+  // not the seed).
   {
-    const auto& topo0 = s.topo();
-    obs::gauge_set("arena.as_table_bytes",
-                   static_cast<std::int64_t>(topo0.table.memory_bytes()),
-                   obs::Determinism::kWallClock);
-    obs::gauge_set(
-        "arena.string_table_bytes",
-        static_cast<std::int64_t>(topo0.table.strings().memory_bytes()),
-        obs::Determinism::kWallClock);
+    const auto& trie = s.topo().addresses.origin_trie();
     obs::gauge_set("arena.origin_trie_nodes",
-                   static_cast<std::int64_t>(
-                       topo0.addresses.origin_trie().node_count()),
+                   static_cast<std::int64_t>(trie.node_count()),
                    obs::Determinism::kWallClock);
     obs::gauge_set("arena.origin_trie_bytes",
-                   static_cast<std::int64_t>(
-                       topo0.addresses.origin_trie().memory_bytes()),
+                   static_cast<std::int64_t>(trie.memory_bytes()),
                    obs::Determinism::kWallClock);
   }
 
@@ -143,7 +133,6 @@ TrafficMap MapBuilder::build(const MapBuildOptions& options) {
     workload.finish();
     dns_delta.finish();
     obs::count("map.workload_events", workload.processed_events());
-    timings_.workload_probe_s = span.close();
   }
 
   // ---- Component 1: users and activity.
@@ -172,7 +161,6 @@ TrafficMap MapBuilder::build(const MapBuildOptions& options) {
     }
     const scan::TlsScanner tls_scanner(s.tls(), s.topo().addresses);
     map.tls = tls_scanner.sweep(operator_names, executor);
-    timings_.tls_scan_s = span.close();
   }
 
   stage_begin("map.ecs_map");
@@ -194,7 +182,6 @@ TrafficMap MapBuilder::build(const MapBuildOptions& options) {
       ++mapped;
     }
     obs::gauge_set("map.services_mapped", static_cast<std::int64_t>(mapped));
-    timings_.ecs_map_s = span.close();
   }
   // Service-id-sorted sweep list: geolocation appends client points per
   // server in sweep order, and the geometric median is a float computation
@@ -239,7 +226,6 @@ TrafficMap MapBuilder::build(const MapBuildOptions& options) {
         routing::collect_public_view(bgp, feeders, destinations, executor);
     map.observed_graph =
         routing::observed_subgraph(topo.graph, map.public_view);
-    timings_.routing_s = span.close();
   }
 
   stage_begin("map.inference");
@@ -250,7 +236,6 @@ TrafficMap MapBuilder::build(const MapBuildOptions& options) {
     map.recommended_links = recommender.recommend(options.recommend_links);
     map.augmented_graph =
         inference::augment_graph(map.observed_graph, map.recommended_links);
-    timings_.inference_s = span.close();
   }
   return map;
 }

@@ -62,26 +62,11 @@ struct MapBuildOptions {
 };
 
 // Pipeline stage names as they appear in the tracer (obs::Span names) and in
-// `itm map --trace-out` output, in execution order.
+// `itm map --trace-out` output, in execution order. A stage's wall time is
+// `tracer.total_seconds(name)` on the obs::Tracer current during build().
 inline constexpr const char* kMapStageNames[] = {
     "map.workload_probe", "map.tls_scan", "map.ecs_map", "map.routing",
     "map.inference"};
-
-// Wall-clock seconds spent in each pipeline stage of the last build. A
-// compatibility *view* over the obs tracer spans (one per kMapStageNames
-// entry) — the tracer is the single source of truth; this struct is filled
-// from the span durations when a build finishes.
-struct MapBuildTimings {
-  double workload_probe_s = 0.0;
-  double tls_scan_s = 0.0;
-  double ecs_map_s = 0.0;
-  double routing_s = 0.0;
-  double inference_s = 0.0;
-  [[nodiscard]] double total_s() const {
-    return workload_probe_s + tls_scan_s + ecs_map_s + routing_s +
-           inference_s;
-  }
-};
 
 struct OutageImpact {
   // Share of the map's detected activity in the failed AS.
@@ -135,19 +120,11 @@ class MapBuilder {
   [[nodiscard]] const scan::RootCrawlResult& last_crawl() const {
     return crawl_;
   }
-  // Per-stage wall time of the last build (for benches and the CLI); a view
-  // over the obs tracer's stage spans. The full span record — including
-  // per-sweep sub-spans — lives in the obs::Tracer that was current during
-  // build() (see `itm map --trace-out`).
-  [[nodiscard]] const MapBuildTimings& last_timings() const {
-    return timings_;
-  }
 
  private:
   Scenario* scenario_;
   std::unique_ptr<scan::CacheProber> prober_;
   scan::RootCrawlResult crawl_;
-  MapBuildTimings timings_;
 };
 
 }  // namespace itm::core

@@ -5,10 +5,9 @@
 // pure function of the data — the property the `.itms` snapshot's string
 // section relies on for byte-identical exports across thread counts.
 //
-// Shared between the SoA topology::AsTable (which interns AS and country
-// names once at generation time) and the serve snapshot writer (which seeds
-// its table from the topology's and appends measurement-derived strings such
-// as inferred operator names on top).
+// The serve snapshot writer interns AS names in dense ASN order, then
+// country names, then measurement-derived strings such as inferred operator
+// names; that order is the `.itms` string section.
 #pragma once
 
 #include <cstddef>

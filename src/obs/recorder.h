@@ -162,7 +162,7 @@ class ProgressMeter {
 // ends, journals stage.begin/stage.end, publishes `<name>.rss_delta_bytes` /
 // `<name>.rss_bytes` / `<name>.wall_us` wall-clock gauges, and sets the
 // crash handler's current-stage tag. close() returns the wall duration in
-// seconds (like Span::close) so MapBuildTimings keeps working unchanged.
+// seconds (like Span::close).
 class StageScope {
  public:
   explicit StageScope(std::string_view name, std::size_t index = 0,

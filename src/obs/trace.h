@@ -55,8 +55,8 @@ class Tracer {
   // does not depend on close order.
   [[nodiscard]] std::vector<TraceEvent> events() const;
 
-  // Total wall seconds across all closed spans with this name (the source
-  // of truth behind core::MapBuildTimings).
+  // Total wall seconds across all closed spans with this name (how the CLI
+  // and the benches read per-stage map-build times).
   [[nodiscard]] double total_seconds(std::string_view name) const;
 
   [[nodiscard]] std::size_t span_count() const;
@@ -106,8 +106,7 @@ class Span {
 
   // Closes the span now and returns its wall duration in seconds (0 on
   // repeat calls), whether or not a tracer recorded it. The destructor
-  // closes implicitly; call close() when the duration feeds a summary (e.g.
-  // the MapBuildTimings view).
+  // closes implicitly; call close() when the duration feeds a summary.
   double close();
 
  private:

@@ -176,9 +176,14 @@ std::optional<core::OutageImpact> QueryEngine::outage(Asn failed) const {
   for (std::size_t m = 0; m < view_.mappings.size(); ++m) {
     const ServiceMappingView mapping = view_.mappings[m];
     bool affected = false;
+    // Entries are prefix-sorted and neighbouring prefixes mostly share a
+    // front end, so search `inside` once per run of equal addresses.
+    std::uint32_t previous = 0;
     for (std::size_t e = 0; e < mapping.entries.size() && !affected; ++e) {
-      affected = std::binary_search(inside.begin(), inside.end(),
-                                    mapping.entries[e].address);
+      const std::uint32_t address = mapping.entries[e].address;
+      if (e > 0 && address == previous) continue;
+      previous = address;
+      affected = std::binary_search(inside.begin(), inside.end(), address);
     }
     if (affected) {
       impact.services_served_from.push_back(ServiceId(mapping.service));

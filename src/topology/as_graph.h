@@ -132,9 +132,9 @@ class AsGraph {
   };
   [[nodiscard]] Degree degree(Asn asn) const;
 
-  // Approximate heap bytes of the AoS layout (per-AS structs, per-AS
-  // neighbor vectors, link records). The substrate-scale bench reports this
-  // as the legacy bytes/AS baseline against AsTable's SoA columns.
+  // Approximate heap bytes of the graph (per-AS structs, per-AS neighbor
+  // vectors, link records). The substrate-scale bench reports this per AS
+  // as `bytes_per_as`.
   [[nodiscard]] std::size_t memory_bytes() const;
 
  private:

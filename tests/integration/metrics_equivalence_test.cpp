@@ -30,7 +30,6 @@ core::MapBuildOptions tiny_build_options(std::size_t threads) {
 struct BuildObservations {
   std::string metrics_json;
   std::vector<obs::TraceEvent> spans;
-  core::MapBuildTimings timings;
 };
 
 BuildObservations build_and_observe(std::size_t threads) {
@@ -48,7 +47,6 @@ BuildObservations build_and_observe(std::size_t threads) {
   registry.write_json(os, obs::MetricsRegistry::Export::kDeterministicOnly);
   out.metrics_json = os.str();
   out.spans = trace.events();
-  out.timings = builder.last_timings();
   return out;
 }
 
@@ -78,24 +76,6 @@ TEST(MetricsEquivalence, TracerCoversEveryPipelineStage) {
       EXPECT_TRUE(e.sim_at.has_value());
     }
   }
-}
-
-TEST(MetricsEquivalence, TimingsViewMatchesTracerTotals) {
-  obs::MetricsRegistry registry;
-  obs::Tracer trace;
-  obs::ScopedMetrics metrics_scope(registry);
-  obs::ScopedTracer trace_scope(trace);
-  auto scenario = core::Scenario::generate(core::tiny_config(4242));
-  core::MapBuilder builder(*scenario);
-  (void)builder.build(tiny_build_options(2));
-  const auto& t = builder.last_timings();
-  EXPECT_DOUBLE_EQ(t.workload_probe_s,
-                   trace.total_seconds("map.workload_probe"));
-  EXPECT_DOUBLE_EQ(t.tls_scan_s, trace.total_seconds("map.tls_scan"));
-  EXPECT_DOUBLE_EQ(t.ecs_map_s, trace.total_seconds("map.ecs_map"));
-  EXPECT_DOUBLE_EQ(t.routing_s, trace.total_seconds("map.routing"));
-  EXPECT_DOUBLE_EQ(t.inference_s, trace.total_seconds("map.inference"));
-  EXPECT_GT(t.total_s(), 0.0);
 }
 
 TEST(MetricsEquivalence, OnStageHookFiresInPipelineOrder) {

@@ -1,6 +1,6 @@
 // Tracer/Span: durations, nesting depth and containment, the Chrome
 // trace-event export (valid JSON, correct fields), and total_seconds — the
-// aggregation MapBuildTimings is a view over.
+// aggregation the CLI and benches read per-stage build times from.
 #include "obs/trace.h"
 
 #include <gtest/gtest.h>

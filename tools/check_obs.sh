@@ -5,7 +5,8 @@
 # exercises --progress/--events-out/--metrics-full and the `itm obs
 # report`/`trace` exit-code contract. Finally kills an instrumented build
 # with SIGTERM and asserts the postmortem journal survived naming the
-# in-flight stage (the crash-flush path, end to end).
+# in-flight stage (the crash-flush path, end to end), and that a pinned
+# tier run without --seed journals the tier's seed.
 #
 # Usage: tools/check_obs.sh [build-dir]   (default: build)
 set -euo pipefail
@@ -45,3 +46,22 @@ if [[ "$LAST" != *'"stage": "'* || "$LAST" == *'"stage": ""'* ]]; then
   exit 1
 fi
 echo "postmortem journal intact: $LAST"
+
+# run.begin records the seed the world is built with: a pinned tier without
+# --seed resolves to the tier's own seed (medium: 10111), not the CLI
+# default. Kill the build once generation is under way; the SIGTERM flush
+# writes the journal.
+"$BUILD_DIR/tools/itm" map --scale medium --threads 2 \
+    --events-out "$SCRATCH/seed.jsonl" >/dev/null 2>&1 &
+ITM_PID=$!
+sleep 1
+kill -TERM "$ITM_PID" 2>/dev/null || true
+wait "$ITM_PID" 2>/dev/null || true
+
+BEGIN="$(grep -m 1 '"event": "run.begin"' "$SCRATCH/seed.jsonl" || true)"
+if [[ "$BEGIN" != *'"seed": 10111'* ]]; then
+  echo "FAIL: run.begin does not record the medium tier's seed 10111: " \
+       "${BEGIN:-<no run.begin event>}" >&2
+  exit 1
+fi
+echo "run.begin journals the resolved seed: $BEGIN"

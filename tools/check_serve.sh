@@ -4,10 +4,12 @@
 #   1. build two pinned snapshots (base and target) with `itm snapshot`,
 #   2. produce an `.itmsd` delta with `itm snapshot-diff` and prove
 #      `itm snapshot-apply` rebuilds the target byte-identically,
-#   3. run `itm served` on a unix socket, drive a session that queries,
-#      hot-swaps via apply-delta mid-session, and queries again — the
-#      post-swap answers must equal a fresh `itm serve` run over the
-#      target snapshot (answer-hash equality),
+#   3. run `itm served` on a unix socket, rewrite the served file with
+#      `itm snapshot-apply --out` (the server must keep answering from the
+#      base it mapped), then drive a session that queries, hot-swaps via
+#      apply-delta mid-session, and queries again — the pre-swap answers
+#      must equal a fresh `itm serve` run over the base and the post-swap
+#      answers one over the target snapshot (answer-hash equality),
 #   4. SIGTERM the server and require a graceful exit 0 with the socket
 #      unlinked,
 #   5. run the serve-labeled ctest subset (mmap/view equivalence, delta
@@ -25,7 +27,9 @@ cmake --build "$BUILD_DIR" -j"$(nproc)" \
 
 ITM="$BUILD_DIR/tools/itm"
 SCRATCH="$(mktemp -d)"
-trap 'rm -rf "$SCRATCH"' EXIT
+SERVED_PID=""
+# A failed check must not leave the server running.
+trap '[[ -n "$SERVED_PID" ]] && kill "$SERVED_PID" 2>/dev/null; rm -rf "$SCRATCH"' EXIT
 
 # ---- 1. two pinned snapshots of the same world at different probe depths.
 "$ITM" snapshot --scale tiny --seed 11 --out "$SCRATCH/base.itms" >/dev/null
@@ -60,6 +64,17 @@ echo "corrupted delta rejected"
 QUERIES="stats
 top-as 5
 lookup 10.0.0.1"
+N_QUERIES="$(printf '%s\n' "$QUERIES" | wc -l)"
+
+# Reference answers: `itm serve` (batch mode, mmap) over each snapshot.
+printf '%s\n' "$QUERIES" > "$SCRATCH/queries.txt"
+"$ITM" serve --snapshot "$SCRATCH/base.itms" \
+    --queries "$SCRATCH/queries.txt" | tail -n "$N_QUERIES" \
+    > "$SCRATCH/expect_pre.out"
+"$ITM" serve --snapshot "$SCRATCH/target.itms" \
+    --queries "$SCRATCH/queries.txt" | tail -n "$N_QUERIES" \
+    > "$SCRATCH/expect_post.out"
+
 SOCK="$SCRATCH/itm.sock"
 "$ITM" served --snapshot "$SCRATCH/base.itms" --listen "$SOCK" \
     > "$SCRATCH/served.log" 2>&1 &
@@ -74,7 +89,23 @@ if ! [[ -S "$SOCK" ]]; then
   exit 1
 fi
 
-# One session: pre-swap queries, the swap, post-swap queries.
+# Rewrite the served file while it is mapped. The CLI replaces --out by
+# rename, so the live epoch keeps its inode; truncating in place would fault
+# the server (SIGBUS) or hand it bytes validated for another file.
+"$ITM" snapshot-apply "$SCRATCH/base.itms" "$SCRATCH/step.itmsd" \
+    --out "$SCRATCH/base.itms" >/dev/null
+if ! cmp -s "$SCRATCH/base.itms" "$SCRATCH/target.itms"; then
+  echo "FAIL: in-place snapshot-apply did not produce the target" >&2
+  exit 1
+fi
+if ! kill -0 "$SERVED_PID" 2>/dev/null; then
+  echo "FAIL: itm served died when its snapshot file was rewritten" >&2
+  cat "$SCRATCH/served.log" >&2
+  exit 1
+fi
+
+# One session: pre-swap queries (still the base the server mapped), the
+# swap, post-swap queries.
 cat > "$SCRATCH/session.py" <<'EOF'
 import socket
 import sys
@@ -103,19 +134,10 @@ if ! grep -q '^ok epoch=1 checksum=' "$SCRATCH/session.out"; then
   cat "$SCRATCH/session.out" >&2
   exit 1
 fi
-N_QUERIES="$(printf '%s\n' "$QUERIES" | wc -l)"
 head -n "$N_QUERIES" "$SCRATCH/session.out" > "$SCRATCH/pre.out"
 tail -n +"$((N_QUERIES + 2))" "$SCRATCH/session.out" | head -n "$N_QUERIES" \
     > "$SCRATCH/post.out"
 
-# Reference answers: `itm serve` (batch mode, mmap) over each snapshot.
-printf '%s\n' "$QUERIES" > "$SCRATCH/queries.txt"
-"$ITM" serve --snapshot "$SCRATCH/base.itms" \
-    --queries "$SCRATCH/queries.txt" | tail -n "$N_QUERIES" \
-    > "$SCRATCH/expect_pre.out"
-"$ITM" serve --snapshot "$SCRATCH/target.itms" \
-    --queries "$SCRATCH/queries.txt" | tail -n "$N_QUERIES" \
-    > "$SCRATCH/expect_post.out"
 if ! cmp -s "$SCRATCH/pre.out" "$SCRATCH/expect_pre.out"; then
   echo "FAIL: pre-swap answers diverge from itm serve over the base" >&2
   diff "$SCRATCH/expect_pre.out" "$SCRATCH/pre.out" >&2 || true
@@ -140,6 +162,7 @@ echo "  post-swap $HASH_POST"
 kill -TERM "$SERVED_PID"
 SERVED_EXIT=0
 wait "$SERVED_PID" || SERVED_EXIT=$?
+SERVED_PID=""
 if [[ "$SERVED_EXIT" != 0 ]]; then
   echo "FAIL: itm served exited $SERVED_EXIT on SIGTERM (want 0)" >&2
   cat "$SCRATCH/served.log" >&2

@@ -71,12 +71,17 @@
 // Exit codes: 0 success, 1 regression (itm obs report --baseline only),
 // 2 bad usage (missing operand/value, unknown flag), 3 unknown subcommand,
 // 4 runtime error (unknown AS, unreadable file).
+#include <cerrno>
+#include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <iostream>
 #include <optional>
 #include <sstream>
 #include <string>
+#include <string_view>
+
+#include <unistd.h>
 
 #include "core/export.h"
 #include "core/report.h"
@@ -205,10 +210,11 @@ CliOptions parse(int argc, char** argv, int first) {
 // Run-scoped flight recorder + progress heartbeat, driven by --events-out /
 // --progress. The recorder's crash handlers stay installed for the rest of
 // the process (that is their point); the destructor handles the normal-exit
-// flush and stops the heartbeat thread.
+// flush and stops the heartbeat thread. `seed` is the resolved scenario
+// seed the run.begin event records.
 class RunInstrumentation {
  public:
-  explicit RunInstrumentation(const CliOptions& options) {
+  RunInstrumentation(const CliOptions& options, std::uint64_t seed) {
     if (options.events_path) {
       try {
         obs::recorder().enable(*options.events_path);
@@ -220,7 +226,7 @@ class RunInstrumentation {
       char fields[160];
       std::snprintf(fields, sizeof fields,
                     "\"seed\": %llu, \"scale\": \"%s\", \"threads\": %zu",
-                    static_cast<unsigned long long>(options.seed),
+                    static_cast<unsigned long long>(seed),
                     options.scale.c_str(), options.threads);
       obs::recorder().event("run.begin", fields);
     }
@@ -240,25 +246,70 @@ class RunInstrumentation {
   RunInstrumentation& operator=(const RunInstrumentation&) = delete;
 };
 
-// The world and map-build options that --scale/--seed/--threads name,
-// resolved the same way the benches resolve a scale name.
+// The scenario config and map-build options that --scale/--seed/--threads
+// name, resolved the same way the benches resolve a scale name.
+struct WorldSpec {
+  core::ScenarioConfig config;
+  core::MapBuildOptions build;
+};
+
+WorldSpec resolve_world(const CliOptions& options) {
+  // Pinned tiers keep their own seed unless --seed is given; parse() has
+  // already rejected unknown scale names.
+  WorldSpec spec;
+  (void)core::resolve_scale(
+      options.scale,
+      options.seed_explicit ? std::optional(options.seed) : std::nullopt,
+      spec.config, spec.build);
+  spec.build.threads = options.threads;
+  return spec;
+}
+
 struct World {
   std::unique_ptr<core::Scenario> scenario;
   core::MapBuildOptions build;
 };
 
+World make_world(const WorldSpec& spec) {
+  return {core::Scenario::generate(spec.config), spec.build};
+}
+
 World make_world(const CliOptions& options) {
-  // Pinned tiers keep their own seed unless --seed is given; parse() has
-  // already rejected unknown scale names.
-  core::ScenarioConfig config;
-  World world;
-  (void)core::resolve_scale(
-      options.scale,
-      options.seed_explicit ? std::optional(options.seed) : std::nullopt,
-      config, world.build);
-  world.build.threads = options.threads;
-  world.scenario = core::Scenario::generate(config);
-  return world;
+  return make_world(resolve_world(options));
+}
+
+// The whole file at `path`; nullopt when it cannot be opened or read.
+std::optional<std::string> read_file(const std::string& path) {
+  std::ifstream is(path, std::ios::binary);
+  if (!is) return std::nullopt;
+  std::ostringstream buffer;
+  buffer << is.rdbuf();
+  if (is.bad()) return std::nullopt;
+  return std::move(buffer).str();
+}
+
+// Replaces `path` with `bytes` atomically: writes `<path>.tmp.<pid>`, checks
+// the close, then rename(2)s it over `path`. A process that has the old
+// file mapped (`itm served`) keeps reading the old inode instead of one
+// truncated and rewritten under it. On failure prints why, removes the
+// temporary and leaves `path` untouched.
+bool write_file(const std::string& path, std::string_view bytes) {
+  const std::string tmp = path + ".tmp." + std::to_string(::getpid());
+  std::ofstream out(tmp, std::ios::binary);
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  out.close();
+  if (!out) {
+    std::cerr << "failed writing " << tmp << "\n";
+    std::remove(tmp.c_str());
+    return false;
+  }
+  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
+    std::cerr << "cannot rename " << tmp << " to " << path << ": "
+              << std::strerror(errno) << "\n";
+    std::remove(tmp.c_str());
+    return false;
+  }
+  return true;
 }
 
 std::optional<Asn> find_as(const core::Scenario& scenario,
@@ -305,13 +356,14 @@ int cmd_map(const CliOptions& options) {
   obs::Tracer trace;
   const obs::ScopedMetrics metrics_scope(registry);
   const obs::ScopedTracer trace_scope(trace);
-  const RunInstrumentation instrumentation(options);
+  const WorldSpec spec = resolve_world(options);
+  const RunInstrumentation instrumentation(options, spec.config.seed);
 
   // Stage 0 of the run: a SIGTERM during generation must still leave a
   // journal naming the stage in flight, exactly like the build stages.
-  auto [scenario, build_options] = [&options] {
+  auto [scenario, build_options] = [&spec] {
     const obs::StageScope stage("map.generate", 0, 5);
-    return make_world(options);
+    return make_world(spec);
   }();
   core::MapBuilder builder(*scenario);
   if (options.verbose) {
@@ -321,13 +373,14 @@ int cmd_map(const CliOptions& options) {
   }
   std::cerr << "building the traffic map...\n";
   const auto map = builder.build(build_options);
-  const auto& timings = builder.last_timings();
-  std::cerr << "stage wall time: probing " << core::num(timings.workload_probe_s, 2)
-            << " s, tls " << core::num(timings.tls_scan_s, 2)
-            << " s, ecs " << core::num(timings.ecs_map_s, 2)
-            << " s, routing " << core::num(timings.routing_s, 2)
-            << " s, inference " << core::num(timings.inference_s, 2)
-            << " s\n";
+  std::cerr << "stage wall time:";
+  const char* separator = " ";
+  for (const char* stage : core::kMapStageNames) {
+    std::cerr << separator << stage << " "
+              << core::num(trace.total_seconds(stage), 2) << " s";
+    separator = ", ";
+  }
+  std::cerr << "\n";
   core::Table table({"map component", "value"});
   table.row("client /24s detected", map.client_prefixes.size());
   table.row("client ASes", map.client_ases.size());
@@ -544,13 +597,14 @@ int cmd_snapshot(const CliOptions& options) {
   }
   obs::MetricsRegistry registry;
   const obs::ScopedMetrics metrics_scope(registry);
-  const RunInstrumentation instrumentation(options);
+  const WorldSpec spec = resolve_world(options);
+  const RunInstrumentation instrumentation(options, spec.config.seed);
 
   // Stage 0 of the run: a SIGTERM during generation must still leave a
   // journal naming the stage in flight, exactly like the build stages.
-  auto [scenario, build_options] = [&options] {
+  auto [scenario, build_options] = [&spec] {
     const obs::StageScope stage("map.generate", 0, 5);
-    return make_world(options);
+    return make_world(spec);
   }();
   core::MapBuilder builder(*scenario);
   std::cerr << "building the traffic map...\n";
@@ -566,17 +620,7 @@ int cmd_snapshot(const CliOptions& options) {
               << "\n";
     return kExitRuntime;
   }
-  std::ofstream out(*options.out_path, std::ios::binary);
-  if (!out) {
-    std::cerr << "cannot open " << *options.out_path << "\n";
-    return kExitRuntime;
-  }
-  out.write(blob.data(), static_cast<std::streamsize>(blob.size()));
-  out.close();
-  if (!out) {
-    std::cerr << "failed writing " << *options.out_path << "\n";
-    return kExitRuntime;
-  }
+  if (!write_file(*options.out_path, blob)) return kExitRuntime;
   std::cout << "wrote " << *options.out_path << " (" << blob.size()
             << " bytes, " << map.client_prefixes.size() << " prefixes, "
             << map.tls.endpoints.size() << " endpoints, "
@@ -659,7 +703,8 @@ int cmd_served(const CliOptions& options) {
   // handlers), then the graceful SIGTERM/SIGINT handlers on top: a signal
   // sets one flag, the session loop drains, and the destructor of
   // RunInstrumentation flushes the journal on the way to exit 0.
-  const RunInstrumentation instrumentation(options);
+  const RunInstrumentation instrumentation(options,
+                                           resolve_world(options).config.seed);
   serve::Server::install_signal_handlers();
 
   net::Executor executor(options.threads);
@@ -685,14 +730,6 @@ int cmd_snapshot_diff(const CliOptions& options) {
     std::cerr << "usage: itm snapshot-diff <old.itms> <new.itms> --out FILE\n";
     return kExitUsage;
   }
-  const auto read_file = [](const std::string& path) -> std::optional<std::string> {
-    std::ifstream is(path, std::ios::binary);
-    if (!is) return std::nullopt;
-    std::ostringstream buffer;
-    buffer << is.rdbuf();
-    if (is.bad()) return std::nullopt;
-    return std::move(buffer).str();
-  };
   const auto base = read_file(options.positional[0]);
   const auto target = read_file(options.positional[1]);
   if (!base || !target) {
@@ -706,13 +743,7 @@ int cmd_snapshot_diff(const CliOptions& options) {
     std::cerr << "error: " << error << "\n";
     return kExitRuntime;
   }
-  std::ofstream out(*options.out_path, std::ios::binary);
-  out.write(delta->data(), static_cast<std::streamsize>(delta->size()));
-  out.close();
-  if (!out) {
-    std::cerr << "failed writing " << *options.out_path << "\n";
-    return kExitRuntime;
-  }
+  if (!write_file(*options.out_path, *delta)) return kExitRuntime;
   const auto info = serve::read_delta_info(*delta, &error);
   std::cout << "wrote " << *options.out_path << " (" << delta->size()
             << " bytes, " << (info ? info->ops : 0) << " record ops, "
@@ -728,14 +759,6 @@ int cmd_snapshot_apply(const CliOptions& options) {
                  "--out FILE\n";
     return kExitUsage;
   }
-  const auto read_file = [](const std::string& path) -> std::optional<std::string> {
-    std::ifstream is(path, std::ios::binary);
-    if (!is) return std::nullopt;
-    std::ostringstream buffer;
-    buffer << is.rdbuf();
-    if (is.bad()) return std::nullopt;
-    return std::move(buffer).str();
-  };
   const auto base = read_file(options.positional[0]);
   const auto delta = read_file(options.positional[1]);
   if (!base || !delta) {
@@ -749,13 +772,7 @@ int cmd_snapshot_apply(const CliOptions& options) {
     std::cerr << "error: " << error << "\n";
     return kExitRuntime;
   }
-  std::ofstream out(*options.out_path, std::ios::binary);
-  out.write(target->data(), static_cast<std::streamsize>(target->size()));
-  out.close();
-  if (!out) {
-    std::cerr << "failed writing " << *options.out_path << "\n";
-    return kExitRuntime;
-  }
+  if (!write_file(*options.out_path, *target)) return kExitRuntime;
   std::cout << "wrote " << *options.out_path << " (" << target->size()
             << " bytes, checksum "
             << serve::snapshot_checksum(*target) << ")\n";
